@@ -152,9 +152,11 @@ pub fn run(quick: bool) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::server_test_lock;
 
     #[test]
     fn every_client_count_completes_with_zero_errors() {
+        let _servers = server_test_lock();
         let t = run(true);
         assert_eq!(t.rows.len(), 3);
         for row in &t.rows {

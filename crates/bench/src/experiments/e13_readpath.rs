@@ -261,6 +261,7 @@ pub fn run_batch(quick: bool) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::server_test_lock;
 
     #[test]
     fn shard_sweep_produces_all_thread_counts() {
@@ -282,6 +283,7 @@ mod tests {
 
     #[test]
     fn batched_wire_reads_complete_every_sub_request() {
+        let _servers = server_test_lock();
         let t = run_batch(true);
         assert_eq!(t.rows.len(), 3);
         for row in &t.rows[..2] {

@@ -209,9 +209,11 @@ pub fn run(quick: bool) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::server_test_lock;
 
     #[test]
     fn phases_cover_the_server_total_with_zero_errors() {
+        let _servers = server_test_lock();
         let t = run(true);
         let get = |name: &str| -> &Vec<String> {
             t.rows

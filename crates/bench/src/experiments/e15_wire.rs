@@ -310,9 +310,11 @@ fn parked_count(requested: usize, failures: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::server_test_lock;
 
     #[test]
     fn v2_framing_is_smaller_and_no_errors() {
+        let _servers = server_test_lock();
         let t = run(true);
         let get = |name: &str| -> &Vec<String> {
             t.rows
@@ -335,6 +337,7 @@ mod tests {
 
     #[test]
     fn idle_sessions_do_not_cost_threads() {
+        let _servers = server_test_lock();
         let t = run_idle(true);
         let get = |name: &str| -> &str {
             t.rows

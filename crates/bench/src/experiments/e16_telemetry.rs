@@ -260,9 +260,11 @@ pub fn run(quick: bool) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::server_test_lock;
 
     #[test]
     fn sampler_and_watcher_cost_stays_inside_the_guard() {
+        let _servers = server_test_lock();
         let t = run(true);
         let get = |name: &str| -> &Vec<String> {
             t.rows

@@ -1,8 +1,8 @@
 //! E18 — what do the dispatch tiers buy?
 //!
 //! The serving layer gained three coordinated mechanisms: an epoll
-//! readiness backend (the kernel holds the interest set instead of the
-//! event loop rescanning every registered fd), an inline fast path
+//! readiness set (the kernel holds the interest set instead of the event
+//! loop rescanning every registered fd), an inline fast path
 //! (read-only snapshot verbs execute on the event-loop thread when the
 //! admission queue is shallow — no enqueue, no worker wakeup), and
 //! sharded work-stealing worker queues (targeted wakeups instead of a
@@ -16,11 +16,12 @@
 //!   both the queue-phase share and the enqueue→dequeue wakeup p50 (E16's
 //!   ~59 µs baseline) must fall.
 //! - [`run_idle`] repeats the E15 idle-crowd scenario (quick: 512; full:
-//!   6 000 parked sessions) on both backends and measures the *live* RTT
-//!   a working client sees through the crowd. Under `poll(2)` every
-//!   wakeup rescans the whole interest set, so the crowd taxes every
-//!   request (E15 measured ~1.6 ms); under epoll the kernel reports only
-//!   ready fds and the crowd is nearly free.
+//!   6 000 parked sessions) on the platform's readiness backend and
+//!   measures the *live* RTT a working client sees through the crowd.
+//!   Under epoll (Linux) the kernel reports only ready fds and the crowd
+//!   is nearly free; a `poll(2)` set rescans every registration on every
+//!   wakeup, so there the crowd taxes every request (E15 measured
+//!   ~1.6 ms).
 //!
 //! Histogram/counter registry entries are process-global, so all figures
 //! are deltas taken around each workload leg.
@@ -37,7 +38,7 @@ use ccdb_core::Value;
 use ccdb_obs::flight::PHASE_NAMES;
 use ccdb_obs::metrics::LATENCY_BUCKETS_NS;
 use ccdb_obs::HistogramSnapshot;
-use ccdb_server::{Client, PollBackend, Server, ServerConfig, HELLO_V2};
+use ccdb_server::{Client, Server, ServerConfig, HELLO_V2};
 
 use crate::table::Table;
 use crate::workload::fanout_store;
@@ -263,7 +264,7 @@ fn quantile_ns(sorted: &[u64], q: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Figures for one backend leg of the idle-crowd comparison.
+/// Figures for the idle-crowd leg.
 struct CrowdLeg {
     backend: &'static str,
     parked: usize,
@@ -273,20 +274,14 @@ struct CrowdLeg {
     errors: u64,
 }
 
-/// Parks an idle crowd on a server running `backend` and measures the
-/// live RTT a working client sees through it.
-fn crowd_leg(backend: PollBackend, sessions: usize, live_requests: u64) -> CrowdLeg {
-    let name = match backend {
-        PollBackend::Poll => "poll",
-        PollBackend::Epoll => "epoll",
-        PollBackend::Auto => "auto",
-    };
+/// Parks an idle crowd on a server and measures the live RTT a working
+/// client sees through it.
+fn crowd_leg(sessions: usize, live_requests: u64) -> CrowdLeg {
     let (st, _interface, imps) = fanout_store(16, 2, 2);
     let server = Server::start(
         ServerConfig {
             workers: 2,
             queue_depth: 64,
-            poll_backend: backend,
             // Idle sessions must survive the whole measurement.
             idle_timeout: Duration::from_secs(600),
             ..ServerConfig::default()
@@ -340,7 +335,7 @@ fn crowd_leg(backend: PollBackend, sessions: usize, live_requests: u64) -> Crowd
     lat.sort_unstable();
 
     let leg = CrowdLeg {
-        backend: name,
+        backend: server.backend(),
         parked: parked.len(),
         connect_failures,
         rtt_p50_us: quantile_ns(&lat, 0.50) as f64 / 1e3,
@@ -352,7 +347,7 @@ fn crowd_leg(backend: PollBackend, sessions: usize, live_requests: u64) -> Crowd
     leg
 }
 
-/// Run E18 (idle crowd): E15's crowd scenario on both backends.
+/// Run E18 (idle crowd): E15's crowd scenario on the platform backend.
 pub fn run_idle(quick: bool) -> Table {
     let requested: usize = if quick { 512 } else { 6_000 };
     let live_requests: u64 = if quick { 200 } else { 2_000 };
@@ -363,13 +358,10 @@ pub fn run_idle(quick: bool) -> Table {
         .unwrap_or(4_096);
     let sessions = requested.min((granted.saturating_sub(2_000) / 3) as usize);
 
-    let mut legs = vec![crowd_leg(PollBackend::Poll, sessions, live_requests)];
-    if polling::epoll_supported() {
-        legs.push(crowd_leg(PollBackend::Epoll, sessions, live_requests));
-    }
+    let leg = crowd_leg(sessions, live_requests);
 
     let mut t = Table::new(
-        "E18: live RTT under an idle connection crowd — poll vs epoll",
+        "E18: live RTT under an idle connection crowd",
         &[
             "backend",
             "idle sessions",
@@ -378,33 +370,24 @@ pub fn run_idle(quick: bool) -> Table {
             "errors",
         ],
     );
-    for leg in &legs {
-        t.row(vec![
-            leg.backend.into(),
-            format!("{} ({} failures)", leg.parked, leg.connect_failures),
-            format!("{:.1} us", leg.rtt_p50_us),
-            format!("{:.1} us", leg.rtt_p95_us),
-            leg.errors.to_string(),
-        ]);
-    }
-    if legs.len() == 1 {
-        t.row(vec![
-            "epoll".into(),
-            "n/a (platform lacks epoll)".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
-    }
+    t.row(vec![
+        leg.backend.into(),
+        format!("{} ({} failures)", leg.parked, leg.connect_failures),
+        format!("{:.1} us", leg.rtt_p50_us),
+        format!("{:.1} us", leg.rtt_p95_us),
+        leg.errors.to_string(),
+    ]);
     t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::server_test_lock;
 
     #[test]
     fn inline_path_moves_reads_out_of_the_queue() {
+        let _servers = server_test_lock();
         let t = run(true);
         let get = |name: &str| -> &Vec<String> {
             t.rows
@@ -454,15 +437,13 @@ mod tests {
     }
 
     #[test]
-    fn both_backends_answer_through_the_crowd() {
+    fn platform_backend_answers_through_the_crowd() {
+        let _servers = server_test_lock();
         let t = run_idle(true);
-        assert!(!t.rows.is_empty());
-        // The poll leg always runs; every leg that ran must be error-free.
-        for row in &t.rows {
-            if row[4] != "-" {
-                assert_eq!(row[4], "0", "live client saw errors: {:?}", t.rows);
-                assert!(row[2].ends_with("us"), "{:?}", t.rows);
-            }
-        }
+        assert_eq!(t.rows.len(), 1, "{:?}", t.rows);
+        let row = &t.rows[0];
+        assert_eq!(row[0], polling::Poller::NAME, "{row:?}");
+        assert_eq!(row[4], "0", "live client saw errors: {row:?}");
+        assert!(row[2].ends_with("us"), "{row:?}");
     }
 }

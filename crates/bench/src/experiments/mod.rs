@@ -65,12 +65,23 @@ pub fn time_per_iter(iters: usize, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
+/// Serializes the experiment tests that start servers. Server metrics
+/// are process-global and E14–E18 read deltas of them around each leg, so
+/// a sibling test's server running in the same test process would leak
+/// into those numbers.
+#[cfg(test)]
+pub(crate) fn server_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_experiments_run_quickly_and_produce_rows() {
+        let _servers = server_test_lock();
         for table in run_all(true) {
             assert!(!table.rows.is_empty(), "{} produced no rows", table.title);
             assert!(!table.render().is_empty());

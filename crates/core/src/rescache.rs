@@ -63,9 +63,9 @@ pub(crate) struct ShardedResCache {
     /// `shards.len() - 1`; the count is always a power of two.
     mask: u64,
     enabled: AtomicBool,
-    /// Exact live entry count, maintained under the shard locks; lets the
-    /// write path skip the inheritor-closure traversal when the cache is
-    /// empty without touching any shard lock.
+    /// Exact live entry count, maintained under the shard locks; lets a
+    /// standalone store's write path skip the inheritor-closure traversal
+    /// when the cache is empty without touching any shard lock.
     entries: AtomicU64,
 }
 

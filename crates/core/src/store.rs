@@ -351,7 +351,12 @@ impl ObjectStore {
     /// changed) it follows every binding and drops every entry of the
     /// closure.
     fn invalidate_resolution(&self, root: Surrogate, item: Option<&str>) {
-        if !self.res_cache.enabled() || self.res_cache.is_empty() {
+        // A versioned write must always walk: the sweep raises the shard
+        // watermarks even when nothing is cached, or a reader pinned to an
+        // older snapshot could memoize a stale value that every newer
+        // reader then accepts. A standalone store (version 0) has no older
+        // snapshots, so with nothing cached there is nothing to do.
+        if !self.res_cache.enabled() || (self.version == 0 && self.res_cache.is_empty()) {
             return;
         }
         let mut tspan = trace::span("core.rescache.invalidate");

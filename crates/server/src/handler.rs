@@ -36,8 +36,6 @@ pub(crate) struct ServerContext {
     pub rescache_shards: usize,
     /// Highest wire protocol this server negotiates (1 = pinned to v1).
     pub max_proto: u8,
-    /// Resolved event-loop readiness backend (`"poll"` or `"epoll"`).
-    pub backend: &'static str,
     /// Whether the event loop executes read-only snapshot verbs inline.
     pub inline_reads: bool,
 }
@@ -50,7 +48,6 @@ impl Default for ServerContext {
             queue_depth: 0,
             rescache_shards: 0,
             max_proto: crate::proto::PROTOCOL_V2,
-            backend: "poll",
             inline_reads: false,
         }
     }
@@ -74,7 +71,7 @@ impl ServerContext {
                 Json::UInt(self.rescache_shards as u64),
             ),
             ("max_proto".into(), Json::UInt(self.max_proto as u64)),
-            ("backend".into(), Json::String(self.backend.into())),
+            ("backend".into(), Json::String(polling::Poller::NAME.into())),
             ("inline_reads".into(), Json::Bool(self.inline_reads)),
         ])
     }

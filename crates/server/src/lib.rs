@@ -20,7 +20,7 @@
 //!   `Overloaded` instead of buffering (explicit backpressure, bounded
 //!   memory);
 //! - **dispatch fast paths** — the event loop multiplexes connections
-//!   with `poll(2)` or epoll ([`server::PollBackend`]) and executes
+//!   over one readiness set (epoll on Linux, `poll(2)` elsewhere) and executes
 //!   read-only snapshot verbs inline against a pinned MVCC snapshot when
 //!   the queue is shallow, skipping the worker hop entirely;
 //! - **per-connection sessions** — id, peer, request/byte counters,
@@ -92,4 +92,4 @@ pub use client::{Client, ClientError, ClientResult};
 pub use proto::{
     ErrorKind, FrameError, Request, HELLO_V2, MAX_FRAME_BYTES, PROTOCOL_V2, PROTOCOL_VERSION,
 };
-pub use server::{PollBackend, Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle};

@@ -1,10 +1,10 @@
-//! The TCP server: an event loop (poll(2) or epoll) + worker pool, with
-//! an inline fast path for read-only snapshot verbs.
+//! The TCP server: one event loop + worker pool, with an inline fast path
+//! for read-only snapshot verbs.
 //!
 //! ```text
 //!            accept / readiness              sharded queues (1/worker)
 //!  clients ──────────────▶ event loop (1 thread) ─────▶ workers (N)
-//!                │  poll(2)/epoll over listener + conns  │ steal-on-empty
+//!                │  Poller over listener + conns         │ steal-on-empty
 //!                │  framing, negotiation, admission      ▼
 //!                │  + inline reads on a pinned   SharedStore (MVCC:
 //!                ▼    MVCC snapshot               readers pin snapshots,
@@ -18,10 +18,11 @@
 //! mostly-idle CAD sessions (the paper's designers parked at
 //! workstations) made that the dominant cost — a thread's stack and a
 //! context switch per frame for connections that talk once a minute. The
-//! event loop registers every connection in one `poll(2)` interest set
-//! instead: an idle session costs one fd and ~a hundred bytes of buffer,
-//! and the thread count is `1 + workers` no matter how many clients are
-//! parked.
+//! event loop registers every connection in one [`polling::Poller`]
+//! instead (epoll on Linux, `poll(2)` elsewhere — the platform picks): an
+//! idle session costs one fd and ~a hundred bytes of buffer, a wakeup
+//! costs O(ready fds), and the thread count is `1 + workers` no matter how
+//! many clients are parked.
 //!
 //! Production-shaping behaviors, in one place:
 //!
@@ -42,8 +43,8 @@
 //!   in-transaction sessions always go to workers, and a per-iteration
 //!   time budget falls back to the queue under load so the loop cannot
 //!   starve its readiness duties.
-//! - **Idle timeouts**: the event loop sweeps connection deadlines with
-//!   its poll timeout; a connection that sends nothing for the window is
+//! - **Idle timeouts**: the event loop sweeps connection deadlines every
+//!   100 ms; a connection that sends nothing for the window is
 //!   closed (counted in `ccdb_server_idle_closed_total`). `WouldBlock`
 //!   on these nonblocking sockets means "no data yet", never "idle" —
 //!   see [`FrameError::is_would_block`].
@@ -134,83 +135,10 @@ pub struct ServerConfig {
     /// even sees queued bytes — tests (and memory-tight deployments)
     /// clamp this to make backpressure visible quickly.
     pub send_buffer_bytes: Option<usize>,
-    /// Event-loop readiness backend. `Auto` (the default) honors the
-    /// `CCDB_POLL_BACKEND` env var (`poll`/`epoll`) and otherwise picks
-    /// epoll where the platform has it, `poll(2)` elsewhere. Explicitly
-    /// requesting `Epoll` on a platform without it fails `Server::start`.
-    pub poll_backend: PollBackend,
     /// Whether the event loop may execute read-only snapshot verbs
     /// inline (see module docs). On by default; the dispatch experiment
     /// turns it off to measure the queue hop it removes.
     pub inline_reads: bool,
-}
-
-/// Which readiness primitive the event loop multiplexes connections with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollBackend {
-    /// `CCDB_POLL_BACKEND` env override if set, else epoll when
-    /// available, else `poll(2)`.
-    #[default]
-    Auto,
-    /// Portable `poll(2)`: the interest set is rebuilt and scanned every
-    /// iteration — O(registered fds) per wakeup.
-    Poll,
-    /// Linux `epoll(7)`: the kernel holds the interest set and reports
-    /// only ready fds — O(ready fds) per wakeup.
-    Epoll,
-}
-
-impl PollBackend {
-    /// Parses a CLI/env spelling (`auto`/`poll`/`epoll`).
-    pub fn parse(s: &str) -> Option<PollBackend> {
-        match s {
-            "auto" => Some(PollBackend::Auto),
-            "poll" => Some(PollBackend::Poll),
-            "epoll" => Some(PollBackend::Epoll),
-            _ => None,
-        }
-    }
-}
-
-/// The backend actually in use after auto-detection.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    Poll,
-    Epoll,
-}
-
-impl Backend {
-    fn name(self) -> &'static str {
-        match self {
-            Backend::Poll => "poll",
-            Backend::Epoll => "epoll",
-        }
-    }
-}
-
-/// Resolves the configured backend to a concrete one, or refuses an
-/// explicit `Epoll` request the platform cannot honor.
-fn resolve_backend(requested: PollBackend) -> io::Result<Backend> {
-    let requested = match requested {
-        PollBackend::Auto => match std::env::var("CCDB_POLL_BACKEND").ok().as_deref() {
-            Some(s) => PollBackend::parse(s).unwrap_or(PollBackend::Auto),
-            None => PollBackend::Auto,
-        },
-        explicit => explicit,
-    };
-    match requested {
-        PollBackend::Poll => Ok(Backend::Poll),
-        PollBackend::Epoll if polling::epoll_supported() => Ok(Backend::Epoll),
-        PollBackend::Epoll => Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll backend requested but not available on this platform",
-        )),
-        PollBackend::Auto => Ok(if polling::epoll_supported() {
-            Backend::Epoll
-        } else {
-            Backend::Poll
-        }),
-    }
 }
 
 impl Default for ServerConfig {
@@ -228,7 +156,6 @@ impl Default for ServerConfig {
             sample_retention: timeseries::DEFAULT_RETENTION,
             txn_lock_timeout: Duration::from_secs(5),
             send_buffer_bytes: None,
-            poll_backend: PollBackend::Auto,
             inline_reads: true,
         }
     }
@@ -250,7 +177,7 @@ struct Session {
     has_pending: AtomicBool,
     /// Write end of the event loop's wake channel; a byte is nudged in
     /// when a flush first leaves residual bytes so the loop registers
-    /// `POLLOUT` now instead of at its next poll timeout.
+    /// `POLLOUT` now instead of at its next wait timeout.
     wake: Arc<TcpStream>,
     /// Cap on buffered-but-unsent response bytes; a backlog beyond it
     /// means the peer stopped draining and the connection is killed.
@@ -546,8 +473,6 @@ struct Inner {
     catalog: Catalog,
     ctx: ServerContext,
     queue: ShardedQueue<Job>,
-    /// Resolved readiness backend the event loop runs on.
-    backend: Backend,
     /// Nanoseconds of inline handler execution this event-loop iteration
     /// (reset by the loop each wakeup); the fast path's starvation guard.
     inline_spent_ns: AtomicU64,
@@ -578,7 +503,7 @@ impl Inner {
         let (lock, cv) = &self.drain_cv;
         *lock.lock().unwrap_or_else(|p| p.into_inner()) = true;
         cv.notify_all();
-        // Make the listener readable so the event loop's poll() returns.
+        // Make the listener readable so the event loop's wait returns.
         let _ = TcpStream::connect(self.local_addr);
     }
 }
@@ -611,10 +536,13 @@ impl Server {
     /// Binds, spawns the event loop and worker pool, and returns
     /// immediately.
     pub fn start(cfg: ServerConfig, store: SharedStore) -> io::Result<Server> {
-        let backend = resolve_backend(cfg.poll_backend)?;
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let (wake_tx, wake_rx) = wake_pair()?;
+        let poller = polling::Poller::new()?;
+        poller.add(listener.as_raw_fd(), polling::POLLIN, TOKEN_LISTENER)?;
+        poller.add(wake_rx.as_raw_fd(), polling::POLLIN, TOKEN_WAKE)?;
         let catalog = store.read(|st| st.catalog().clone());
         let workers_n = cfg.workers.max(1);
         let ctx = ServerContext {
@@ -623,7 +551,6 @@ impl Server {
             queue_depth: cfg.queue_depth,
             rescache_shards: store.read(|st| st.resolution_cache_shards()),
             max_proto: cfg.max_proto,
-            backend: backend.name(),
             inline_reads: cfg.inline_reads,
         };
         let txns = TxnRegistry::with_timeout(cfg.txn_lock_timeout);
@@ -649,7 +576,6 @@ impl Server {
                         .collect(),
                 },
             ),
-            backend,
             inline_spent_ns: AtomicU64::new(0),
             cfg,
             store,
@@ -680,10 +606,9 @@ impl Server {
             let inner = Arc::clone(&inner);
             thread::spawn(move || streamer_loop(&inner))
         };
-        let (wake_tx, wake_rx) = wake_pair()?;
         let event_loop = {
             let inner = Arc::clone(&inner);
-            thread::spawn(move || EventLoop::new(listener, inner, wake_tx, wake_rx).run())
+            thread::spawn(move || EventLoop::new(listener, inner, wake_tx, wake_rx, poller).run())
         };
         Ok(Server {
             inner,
@@ -698,9 +623,10 @@ impl Server {
         self.inner.local_addr
     }
 
-    /// The readiness backend resolved at startup (`"poll"` or `"epoll"`).
+    /// The readiness syscall the event loop runs on (`"epoll"` on Linux,
+    /// `"poll"` elsewhere).
     pub fn backend(&self) -> &'static str {
-        self.inner.backend.name()
+        polling::Poller::NAME
     }
 
     /// A cloneable shutdown trigger.
@@ -833,7 +759,7 @@ enum ConnMode {
 }
 
 /// Per-connection event-loop state. Cheap on purpose: an idle session is
-/// this struct + an empty `Vec` + one poll slot.
+/// this struct + an empty `Vec` + one poller registration.
 struct Conn {
     stream: TcpStream,
     session: Arc<Session>,
@@ -848,8 +774,7 @@ struct Conn {
     /// final error response, typically) is flushed or the stall deadline
     /// passes.
     closing: bool,
-    /// Event mask currently registered with the kernel (epoll backend
-    /// only; the poll backend rebuilds its interest set every iteration).
+    /// Event mask currently registered with the poller.
     interest: i16,
 }
 
@@ -871,24 +796,23 @@ struct EventLoop {
     wake_rx: TcpStream,
     /// Write end, cloned into every session.
     wake_tx: Arc<TcpStream>,
-    /// Kernel-held interest set (epoll backend only).
-    epoll: Option<polling::Epoll>,
+    /// Readiness set holding the listener, the wake channel and every
+    /// connection.
+    poller: polling::Poller,
 }
 
-/// Epoll token for the listener socket.
+/// Poller token for the listener socket.
 const TOKEN_LISTENER: u64 = 0;
-/// Epoll token for the wake channel's read end.
+/// Poller token for the wake channel's read end.
 const TOKEN_WAKE: u64 = 1;
 /// Connection tokens are `session id + TOKEN_CONN_BASE`.
 const TOKEN_CONN_BASE: u64 = 2;
 
-/// How often the epoll loop runs its idle/stall deadline sweep (and the
-/// upper bound on its wait timeout). The poll loop sweeps every
-/// iteration — it already walks all connections to rebuild its interest
-/// set — but under epoll an O(connections) sweep per request would give
-/// back the O(ready) win, so deadlines are checked on this cadence
-/// instead (timeouts are seconds-scale; 100 ms of slack is noise).
-const EPOLL_SWEEP_INTERVAL: Duration = Duration::from_millis(100);
+/// How often the event loop runs its idle/stall deadline sweep (and the
+/// upper bound on its wait timeout). An O(connections) sweep per request
+/// would give back the O(ready) wakeup, so deadlines are checked on this
+/// cadence instead (timeouts are seconds-scale; 100 ms of slack is noise).
+const SWEEP_INTERVAL: Duration = Duration::from_millis(100);
 
 impl EventLoop {
     fn new(
@@ -896,6 +820,7 @@ impl EventLoop {
         inner: Arc<Inner>,
         wake_tx: Arc<TcpStream>,
         wake_rx: TcpStream,
+        poller: polling::Poller,
     ) -> EventLoop {
         EventLoop {
             listener,
@@ -904,39 +829,16 @@ impl EventLoop {
             scratch: Box::new([0u8; 64 * 1024]),
             wake_rx,
             wake_tx,
-            epoll: None,
+            poller,
         }
     }
 
+    /// Serves until drain. Only ready registrations come back from a
+    /// wait, so a wakeup costs O(ready fds) however many idle sessions
+    /// are parked; deadline sweeps (the only per-connection work left)
+    /// run on [`SWEEP_INTERVAL`].
     fn run(mut self) {
-        match self.inner.backend {
-            Backend::Poll => self.run_poll(),
-            Backend::Epoll => self.run_epoll(),
-        }
-    }
-
-    /// The epoll backend: the kernel holds the interest set, so a wakeup
-    /// costs O(ready fds) instead of rebuilding and scanning every
-    /// registered connection. Deadline sweeps (the only per-connection
-    /// work left) run on [`EPOLL_SWEEP_INTERVAL`].
-    fn run_epoll(&mut self) {
         let m = server_metrics();
-        let ep = match polling::Epoll::new() {
-            Ok(ep) => ep,
-            // resolve_backend said epoll exists; if creation still fails
-            // (fd exhaustion, say), serve on poll(2) rather than die.
-            Err(_) => return self.run_poll(),
-        };
-        if ep
-            .add(self.listener.as_raw_fd(), polling::POLLIN, TOKEN_LISTENER)
-            .is_err()
-            || ep
-                .add(self.wake_rx.as_raw_fd(), polling::POLLIN, TOKEN_WAKE)
-                .is_err()
-        {
-            return self.run_poll();
-        }
-        self.epoll = Some(ep);
         let mut events: Vec<polling::Event> = Vec::new();
         let mut last_sweep = Instant::now();
         loop {
@@ -947,15 +849,13 @@ impl EventLoop {
             }
             m.eventloop_iterations.inc();
             self.inner.inline_spent_ns.store(0, Ordering::Relaxed);
-            let timeout_ms = EPOLL_SWEEP_INTERVAL
+            let timeout_ms = SWEEP_INTERVAL
                 .saturating_sub(last_sweep.elapsed())
                 .as_millis() as i32
                 + 1;
-            let wait = {
-                let ep = self.epoll.as_ref().expect("epoll installed above");
-                ep.wait(&mut events, timeout_ms)
-            };
-            if wait.is_err() {
+            if self.poller.wait(&mut events, timeout_ms).is_err() {
+                // The wait itself failing is not a per-conn condition;
+                // back off briefly rather than spin.
                 thread::sleep(Duration::from_millis(5));
                 continue;
             }
@@ -1009,7 +909,7 @@ impl EventLoop {
                     self.flush_and_sync(id);
                 }
             }
-            if last_sweep.elapsed() >= EPOLL_SWEEP_INTERVAL {
+            if last_sweep.elapsed() >= SWEEP_INTERVAL {
                 last_sweep = Instant::now();
                 self.sweep_deadlines();
             }
@@ -1017,8 +917,8 @@ impl EventLoop {
     }
 
     /// Flushes a connection that may owe bytes, closes it if its write
-    /// half died (or a lame-duck drain finished), and re-syncs its kernel
-    /// interest mask. Epoll backend only.
+    /// half died (or a lame-duck drain finished), and re-syncs its
+    /// interest mask.
     fn flush_and_sync(&mut self, id: u64) {
         let Some(conn) = self.conns.get(&id) else {
             return;
@@ -1034,11 +934,10 @@ impl EventLoop {
         self.sync_interest(id);
     }
 
-    /// Reconciles a connection's kernel event mask with what it needs now
-    /// (`POLLIN` unless lame-duck, `POLLOUT` while output is buffered).
-    /// One `epoll_ctl` only when the mask actually changed.
+    /// Reconciles a connection's registered event mask with what it needs
+    /// now (`POLLIN` unless lame-duck, `POLLOUT` while output is
+    /// buffered). One `modify` only when the mask actually changed.
     fn sync_interest(&mut self, id: u64) {
-        let Some(ep) = &self.epoll else { return };
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
@@ -1047,111 +946,12 @@ impl EventLoop {
             want |= polling::POLLOUT;
         }
         if want != conn.interest
-            && ep
+            && self
+                .poller
                 .modify(conn.stream.as_raw_fd(), want, TOKEN_CONN_BASE + id)
                 .is_ok()
         {
             conn.interest = want;
-        }
-    }
-
-    /// The portable poll(2) backend: rebuilds the interest set and scans
-    /// every registered connection each iteration.
-    fn run_poll(&mut self) {
-        let m = server_metrics();
-        let mut poll_set: Vec<polling::PollFd> = Vec::new();
-        let mut ready_ids: Vec<u64> = Vec::new();
-        loop {
-            if self.inner.draining() {
-                // Leave sessions registered: workers may still be
-                // flushing responses; drain_and_join tears them down.
-                return;
-            }
-            m.eventloop_iterations.inc();
-            self.inner.inline_spent_ns.store(0, Ordering::Relaxed);
-            poll_set.clear();
-            poll_set.push(polling::PollFd::new(
-                self.listener.as_raw_fd(),
-                polling::POLLIN,
-            ));
-            poll_set.push(polling::PollFd::new(
-                self.wake_rx.as_raw_fd(),
-                polling::POLLIN,
-            ));
-            // Stable iteration: poll slot i+2 belongs to ids[i].
-            let ids: Vec<u64> = self.conns.keys().copied().collect();
-            for id in &ids {
-                let c = &self.conns[id];
-                let mut events = if c.closing { 0 } else { polling::POLLIN };
-                if c.session.has_pending.load(Ordering::Acquire) {
-                    events |= polling::POLLOUT;
-                }
-                poll_set.push(polling::PollFd::new(c.stream.as_raw_fd(), events));
-            }
-            let timeout_ms = self.poll_timeout_ms();
-            let n = match polling::poll_fds(&mut poll_set, timeout_ms) {
-                Ok(n) => n,
-                Err(_) => {
-                    // poll() itself failing is not a per-conn condition;
-                    // back off briefly rather than spin.
-                    thread::sleep(Duration::from_millis(5));
-                    continue;
-                }
-            };
-            if self.inner.draining() {
-                return;
-            }
-            if n > 0 {
-                if poll_set[0].ready(polling::POLLIN) {
-                    self.accept_ready();
-                }
-                if poll_set[1].ready(polling::POLLIN) {
-                    self.drain_wake();
-                }
-                ready_ids.clear();
-                ready_ids.extend(
-                    ids.iter()
-                        .zip(&poll_set[2..])
-                        .filter(|(_, p)| p.ready(polling::POLLIN) || p.failed())
-                        .map(|(id, _)| *id),
-                );
-                for id in &ready_ids {
-                    let after = match self.conns.get_mut(id) {
-                        Some(conn) if !conn.closing => {
-                            service_conn(&self.inner, conn, &mut self.scratch[..])
-                        }
-                        _ => continue,
-                    };
-                    match after {
-                        ConnAfter::Keep => {}
-                        ConnAfter::Close => self.close_conn(*id),
-                        ConnAfter::CloseAfterFlush => self.begin_close(*id),
-                    }
-                }
-            }
-            // Flush pass: push buffered output for every session that has
-            // any (POLLOUT readiness and wake nudges both land here). The
-            // per-conn check is one atomic load; the mutex is only taken
-            // for connections that actually owe bytes.
-            let flush_ids: Vec<u64> = self
-                .conns
-                .iter()
-                .filter(|(_, c)| c.closing || c.session.has_pending.load(Ordering::Acquire))
-                .map(|(id, _)| *id)
-                .collect();
-            for id in flush_ids {
-                let Some(conn) = self.conns.get(&id) else {
-                    continue;
-                };
-                let alive = conn.session.flush_pending();
-                let drained = !conn.session.has_pending.load(Ordering::Acquire);
-                if !alive || (conn.closing && drained) {
-                    self.close_conn(id);
-                }
-            }
-            // Deadline sweep runs every iteration: this loop already
-            // walks all connections to rebuild the interest set.
-            self.sweep_deadlines();
         }
     }
 
@@ -1215,19 +1015,6 @@ impl EventLoop {
         } else {
             conn.closing = true;
         }
-    }
-
-    /// Poll timeout: the soonest idle deadline, capped so drain checks
-    /// and deadline sweeps stay responsive even with no traffic.
-    fn poll_timeout_ms(&self) -> i32 {
-        let idle = self.inner.cfg.idle_timeout;
-        let next = self
-            .conns
-            .values()
-            .map(|c| idle.saturating_sub(c.last_activity.elapsed()))
-            .min()
-            .unwrap_or(idle);
-        next.as_millis().min(500) as i32 + 1
     }
 
     fn accept_ready(&mut self) {
@@ -1311,11 +1098,13 @@ impl EventLoop {
                 interest: polling::POLLIN,
             },
         );
-        if let Some(ep) = &self.epoll {
-            if ep.add(fd, polling::POLLIN, TOKEN_CONN_BASE + id).is_err() {
-                // Unregisterable connection is unservable; drop it.
-                self.close_conn(id);
-            }
+        if self
+            .poller
+            .add(fd, polling::POLLIN, TOKEN_CONN_BASE + id)
+            .is_err()
+        {
+            // Unregisterable connection is unservable; drop it.
+            self.close_conn(id);
         }
     }
 
@@ -1323,13 +1112,11 @@ impl EventLoop {
         let Some(conn) = self.conns.remove(&id) else {
             return;
         };
-        if let Some(ep) = &self.epoll {
-            // Explicit deregistration is required: the session's OutBuf
-            // holds a dup of this socket, and epoll tracks the open file
-            // *description* — dropping `conn.stream` alone would leave
-            // the registration (and its token) alive.
-            let _ = ep.del(conn.stream.as_raw_fd());
-        }
+        // Explicit deregistration is required: the session's OutBuf holds
+        // a dup of this socket, and epoll tracks the open file
+        // *description* — dropping `conn.stream` alone would leave the
+        // registration (and its token) alive.
+        let _ = self.poller.delete(conn.stream.as_raw_fd());
         // A transaction must not outlive its connection: its inherited
         // locks would block every other session until the lock timeout.
         self.inner.txns.abort_if_any(id);

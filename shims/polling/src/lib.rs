@@ -1,36 +1,31 @@
 #![warn(missing_docs)]
 
-//! Offline stand-in for readiness polling: a thin, `std`-only wrapper over
-//! the `poll(2)` syscall (plus the `getrlimit`/`setrlimit` pair the file-
-//! descriptor-heavy benchmarks need). Like every other shim in this
-//! workspace it links nothing beyond libc symbols the Rust standard
-//! library already pulls in — no crates.io access required.
+//! Offline stand-in for readiness polling: one registration-style
+//! [`Poller`] over the platform's readiness syscall, plus the
+//! `getrlimit`/`setrlimit` pair the file-descriptor-heavy benchmarks
+//! need. Like every other shim in this workspace it links nothing beyond
+//! libc symbols the Rust standard library already pulls in — no
+//! crates.io access required.
 //!
 //! The API is deliberately tiny:
 //!
-//! - [`PollFd`] / [`poll_fds`] — the raw readiness sweep an event loop
-//!   builds each iteration (interest sets in, ready sets out);
-//! - [`wait_readable`] / [`wait_writable`] — single-fd conveniences for
-//!   code that may block on one socket (e.g. the shutdown drain flushing
-//!   a final response to a nonblocking fd);
+//! - [`Poller`] — register each fd once under a caller-chosen token,
+//!   adjust its interest when it changes, and [`Poller::wait`] returns
+//!   the tokens of the ready fds. On Linux it is `epoll(7)`: the kernel
+//!   holds the interest set, so a wakeup costs O(ready fds) however many
+//!   idle connections are registered. Elsewhere it is a `poll(2)` set
+//!   kept in user space — the only readiness primitive those platforms
+//!   have here. The platform picks; there is no selector.
+//! - [`wait_writable`] — a single-fd convenience for code that may block
+//!   on one socket (the shutdown drain flushing a final response to a
+//!   nonblocking fd);
 //! - [`raise_nofile_limit`] / [`nofile_limit`] — `RLIMIT_NOFILE`
 //!   introspection so a 10k-connection experiment can size itself to what
 //!   the process may actually open;
 //! - [`set_send_buffer`] — `SO_SNDBUF` clamping, so tests exercising the
 //!   write-stall path can shrink a socket's kernel buffering from
 //!   megabytes (auto-tuned loopback) to something a slow subscriber
-//!   fills in milliseconds;
-//! - [`Epoll`] — a registration-based readiness interface over Linux
-//!   `epoll(7)`. `poll(2)` re-scans every registered fd per call (the
-//!   kernel walks the whole interest array each sweep), so an event loop
-//!   over N mostly-idle connections pays O(N) per iteration; epoll keeps
-//!   the interest set in the kernel and [`Epoll::wait`] returns only the
-//!   ready fds. The interest masks reuse [`POLLIN`]/[`POLLOUT`] and ready
-//!   events answer the same [`ready`](Event::ready)/[`failed`](Event::failed)
-//!   questions as [`PollFd`], so an event loop can treat the two backends
-//!   uniformly. On non-Linux platforms [`Epoll::new`] returns
-//!   [`std::io::ErrorKind::Unsupported`] (use [`epoll_supported`] to
-//!   auto-detect and fall back to [`poll_fds`]).
+//!   fills in milliseconds.
 //!
 //! Only Unix is supported (the rest of the workspace's serving layer is
 //! `std::net` + raw fds); on other platforms every call returns
@@ -38,62 +33,27 @@
 
 use std::io;
 
-/// Raw file descriptor, as used by `poll(2)`.
+/// Raw file descriptor.
 pub type Fd = i32;
 
 /// Readable data is available (or a listener has a pending connection).
 pub const POLLIN: i16 = 0x001;
 /// Writing is possible without blocking.
 pub const POLLOUT: i16 = 0x004;
-/// Error condition (revents only).
+/// Error condition (ready events only).
 pub const POLLERR: i16 = 0x008;
-/// Peer hung up (revents only).
+/// Peer hung up (ready events only).
 pub const POLLHUP: i16 = 0x010;
-/// Fd is not open (revents only).
+/// Fd is not open (ready events only).
 pub const POLLNVAL: i16 = 0x020;
 
-/// One entry of a `poll(2)` interest set, layout-compatible with the
-/// kernel's `struct pollfd`.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct PollFd {
-    /// The descriptor to watch (negative entries are skipped by the kernel).
-    pub fd: Fd,
-    /// Requested events ([`POLLIN`] | [`POLLOUT`]).
-    pub events: i16,
-    /// Returned events, filled by [`poll_fds`].
-    pub revents: i16,
-}
-
-impl PollFd {
-    /// Interest entry for `fd` watching `events`.
-    pub fn new(fd: Fd, events: i16) -> PollFd {
-        PollFd {
-            fd,
-            events,
-            revents: 0,
-        }
-    }
-
-    /// Whether any of `mask` came back in `revents`.
-    pub fn ready(&self, mask: i16) -> bool {
-        self.revents & mask != 0
-    }
-
-    /// Whether the fd reported an error/hangup/invalid condition.
-    pub fn failed(&self) -> bool {
-        self.revents & (POLLERR | POLLHUP | POLLNVAL) != 0
-    }
-}
-
-/// One ready notification from [`Epoll::wait`]: the token the fd was
-/// registered under plus its ready condition, answering the same
-/// questions as [`PollFd::ready`]/[`PollFd::failed`].
+/// One ready notification from [`Poller::wait`]: the token the fd was
+/// registered under plus its ready condition.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
-    /// The caller-chosen token passed to [`Epoll::add`].
+    /// The caller-chosen token passed to [`Poller::add`].
     pub token: u64,
-    /// Ready mask in [`POLLIN`]/[`POLLOUT`] terms.
+    /// Ready mask in [`POLLIN`]/[`POLLOUT`]/[`POLLERR`]/[`POLLHUP`] terms.
     pub events: i16,
 }
 
@@ -103,53 +63,55 @@ impl Event {
         self.events & mask != 0
     }
 
-    /// Whether the fd reported an error/hangup condition.
+    /// Whether the fd reported an error/hangup/invalid condition.
     pub fn failed(&self) -> bool {
-        self.events & (POLLERR | POLLHUP) != 0
+        self.events & (POLLERR | POLLHUP | POLLNVAL) != 0
     }
 }
 
-/// A kernel-resident readiness set (Linux `epoll(7)`).
+/// A registration-based readiness set.
 ///
-/// Register each fd once with [`add`](Epoll::add) under a caller-chosen
-/// token, adjust interest with [`modify`](Epoll::modify) when it changes,
-/// and [`wait`](Epoll::wait) returns only the fds with pending events —
-/// no per-iteration interest-array rebuild and no kernel-side scan of
-/// idle registrations.
+/// Register each fd once with [`add`](Poller::add) under a caller-chosen
+/// token, adjust interest with [`modify`](Poller::modify) when it changes,
+/// and [`wait`](Poller::wait) reports only the registrations with pending
+/// events. Level-triggered: a readable fd keeps reporting readable until
+/// drained. Error and hangup conditions are reported even for an empty
+/// interest mask.
 ///
-/// Level-triggered (the default epoll mode), matching `poll(2)` semantics
-/// exactly: a readable fd keeps reporting readable until drained, so the
-/// two backends are drop-in interchangeable for the same event loop.
-///
-/// One caveat inherited from the syscall: epoll registers the *open file
-/// description*, not the fd number. A `try_clone`d socket keeps the
-/// registration alive after the registered fd is closed, so owners of
-/// duplicated fds must [`del`](Epoll::del) explicitly before dropping.
-pub struct Epoll {
-    inner: sys_epoll::Epoll,
+/// Deregister with [`delete`](Poller::delete) *before* closing a
+/// registered fd. epoll tracks the open file description, not the fd
+/// number, so a `try_clone`d socket would otherwise keep the registration
+/// — and its token — alive after the registered fd is closed.
+pub struct Poller {
+    inner: platform::Poller,
 }
 
-impl Epoll {
-    /// Creates an epoll instance (`EPOLL_CLOEXEC`). `Unsupported` off Linux.
-    pub fn new() -> io::Result<Epoll> {
-        Ok(Epoll {
-            inner: sys_epoll::Epoll::new()?,
+impl Poller {
+    /// The readiness syscall behind [`Poller`] on this platform
+    /// (`"epoll"` or `"poll"`).
+    pub const NAME: &'static str = platform::NAME;
+
+    /// Creates an empty readiness set.
+    pub fn new() -> io::Result<Poller> {
+        Ok(Poller {
+            inner: platform::Poller::new()?,
         })
     }
 
-    /// Registers `fd` for `events` ([`POLLIN`] | [`POLLOUT`]) under `token`.
-    pub fn add(&self, fd: Fd, events: i16, token: u64) -> io::Result<()> {
-        self.inner.ctl(sys_epoll::EPOLL_CTL_ADD, fd, events, token)
+    /// Registers `fd` for `interest` ([`POLLIN`] | [`POLLOUT`]) under
+    /// `token`.
+    pub fn add(&self, fd: Fd, interest: i16, token: u64) -> io::Result<()> {
+        self.inner.add(fd, interest, token)
     }
 
-    /// Replaces the interest mask of an already-registered `fd`.
-    pub fn modify(&self, fd: Fd, events: i16, token: u64) -> io::Result<()> {
-        self.inner.ctl(sys_epoll::EPOLL_CTL_MOD, fd, events, token)
+    /// Replaces the interest mask and token of an already-registered `fd`.
+    pub fn modify(&self, fd: Fd, interest: i16, token: u64) -> io::Result<()> {
+        self.inner.modify(fd, interest, token)
     }
 
-    /// Removes `fd` from the interest set.
-    pub fn del(&self, fd: Fd) -> io::Result<()> {
-        self.inner.ctl(sys_epoll::EPOLL_CTL_DEL, fd, 0, 0)
+    /// Removes `fd` from the readiness set.
+    pub fn delete(&self, fd: Fd) -> io::Result<()> {
+        self.inner.delete(fd)
     }
 
     /// Blocks up to `timeout_ms` (negative = forever, 0 = probe) and
@@ -160,19 +122,22 @@ impl Epoll {
     }
 }
 
-/// Whether [`Epoll`] works on this platform (used by backend auto-detect).
-pub fn epoll_supported() -> bool {
-    sys_epoll::supported()
-}
-
 #[cfg(target_os = "linux")]
-mod sys_epoll {
+use epoll as platform;
+#[cfg(not(target_os = "linux"))]
+use poll_set as platform;
+
+/// Linux `epoll(7)`: the kernel holds the interest set.
+#[cfg(target_os = "linux")]
+mod epoll {
     use super::{Event, Fd, POLLERR, POLLHUP, POLLIN, POLLOUT};
     use std::io;
 
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
+    pub const NAME: &str = "epoll";
+
+    const EPOLL_CTL_ADD: i32 = 1;
+    const EPOLL_CTL_DEL: i32 = 2;
+    const EPOLL_CTL_MOD: i32 = 3;
 
     const EPOLL_CLOEXEC: i32 = 0o2000000;
     const EPOLLIN: u32 = 0x001;
@@ -225,26 +190,38 @@ mod sys_epoll {
         m
     }
 
-    pub struct Epoll {
+    pub struct Poller {
         epfd: i32,
         /// Reused kernel-facing event buffer (behind a lock only because
         /// `wait` takes `&self`; the event loop is single-threaded).
         buf: std::sync::Mutex<Vec<EpollEvent>>,
     }
 
-    impl Epoll {
-        pub fn new() -> io::Result<Epoll> {
+    impl Poller {
+        pub fn new() -> io::Result<Poller> {
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
             }
-            Ok(Epoll {
+            Ok(Poller {
                 epfd,
                 buf: std::sync::Mutex::new(vec![EpollEvent { events: 0, data: 0 }; 256]),
             })
         }
 
-        pub fn ctl(&self, op: i32, fd: Fd, events: i16, token: u64) -> io::Result<()> {
+        pub fn add(&self, fd: Fd, interest: i16, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, interest, token)
+        }
+
+        pub fn modify(&self, fd: Fd, interest: i16, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_MOD, fd, interest, token)
+        }
+
+        pub fn delete(&self, fd: Fd) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
+        }
+
+        fn ctl(&self, op: i32, fd: Fd, events: i16, token: u64) -> io::Result<()> {
             let mut ev = EpollEvent {
                 events: to_epoll_mask(events),
                 data: token,
@@ -287,56 +264,111 @@ mod sys_epoll {
         }
     }
 
-    impl Drop for Epoll {
+    impl Drop for Poller {
         fn drop(&mut self) {
             unsafe {
                 close(self.epfd);
             }
         }
     }
+}
 
-    pub fn supported() -> bool {
-        true
+/// Portable `poll(2)`: the interest set lives in user space and the
+/// kernel scans all of it on every wait — O(registered fds) per wakeup.
+/// Compiled on Linux for tests only, so the readiness contract keeps
+/// coverage there.
+#[cfg(any(test, not(target_os = "linux")))]
+mod poll_set {
+    use super::{sys, Event, Fd, PollFd};
+    use std::io;
+    use std::sync::Mutex;
+
+    #[cfg_attr(target_os = "linux", allow(dead_code))]
+    pub const NAME: &str = "poll";
+
+    pub struct Poller {
+        /// `fds[i]` is registered under `tokens[i]`.
+        set: Mutex<(Vec<PollFd>, Vec<u64>)>,
+    }
+
+    impl Poller {
+        pub fn new() -> io::Result<Poller> {
+            Ok(Poller {
+                set: Mutex::new((Vec::new(), Vec::new())),
+            })
+        }
+
+        fn position(fds: &[PollFd], fd: Fd) -> io::Result<usize> {
+            fds.iter()
+                .position(|p| p.fd == fd)
+                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd is not registered"))
+        }
+
+        pub fn add(&self, fd: Fd, interest: i16, token: u64) -> io::Result<()> {
+            let mut set = self.set.lock().unwrap_or_else(|p| p.into_inner());
+            if set.0.iter().any(|p| p.fd == fd) {
+                return Err(io::Error::new(
+                    io::ErrorKind::AlreadyExists,
+                    "fd is already registered",
+                ));
+            }
+            set.0.push(PollFd::new(fd, interest));
+            set.1.push(token);
+            Ok(())
+        }
+
+        pub fn modify(&self, fd: Fd, interest: i16, token: u64) -> io::Result<()> {
+            let mut set = self.set.lock().unwrap_or_else(|p| p.into_inner());
+            let i = Self::position(&set.0, fd)?;
+            set.0[i].events = interest;
+            set.1[i] = token;
+            Ok(())
+        }
+
+        pub fn delete(&self, fd: Fd) -> io::Result<()> {
+            let mut set = self.set.lock().unwrap_or_else(|p| p.into_inner());
+            let i = Self::position(&set.0, fd)?;
+            set.0.swap_remove(i);
+            set.1.swap_remove(i);
+            Ok(())
+        }
+
+        pub fn wait(&self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
+            out.clear();
+            let mut set = self.set.lock().unwrap_or_else(|p| p.into_inner());
+            let (fds, tokens) = &mut *set;
+            sys::poll(fds, timeout_ms)?;
+            out.extend(
+                fds.iter()
+                    .zip(tokens.iter())
+                    .filter(|(p, _)| p.revents != 0)
+                    .map(|(p, &token)| Event {
+                        token,
+                        events: p.revents,
+                    }),
+            );
+            Ok(out.len())
+        }
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-mod sys_epoll {
-    use super::{Event, Fd};
-    use std::io;
+/// One entry of a `poll(2)` interest set, layout-compatible with the
+/// kernel's `struct pollfd`.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+struct PollFd {
+    fd: Fd,
+    events: i16,
+    revents: i16,
+}
 
-    #[allow(dead_code)]
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    #[allow(dead_code)]
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    #[allow(dead_code)]
-    pub const EPOLL_CTL_MOD: i32 = 3;
-
-    pub struct Epoll;
-
-    fn unsupported<T>() -> io::Result<T> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll is Linux-only; use the poll backend",
-        ))
-    }
-
-    impl Epoll {
-        pub fn new() -> io::Result<Epoll> {
-            unsupported()
+impl PollFd {
+    fn new(fd: Fd, events: i16) -> PollFd {
+        PollFd {
+            fd,
+            events,
+            revents: 0,
         }
-
-        pub fn ctl(&self, _op: i32, _fd: Fd, _events: i16, _token: u64) -> io::Result<()> {
-            unsupported()
-        }
-
-        pub fn wait(&self, _out: &mut Vec<Event>, _timeout_ms: i32) -> io::Result<usize> {
-            unsupported()
-        }
-    }
-
-    pub fn supported() -> bool {
-        false
     }
 }
 
@@ -362,7 +394,8 @@ mod sys {
     type RLim = u64;
 
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
+        #[link_name = "poll"]
+        fn poll_syscall(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
         fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
         fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
         fn setsockopt(
@@ -421,9 +454,11 @@ mod sys {
     #[cfg(not(target_os = "macos"))]
     const RLIMIT_NOFILE: i32 = 7;
 
-    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
+    /// One `poll(2)` sweep over `fds`: blocks up to `timeout_ms` and
+    /// returns how many entries have non-zero `revents`.
+    pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
         loop {
-            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, timeout_ms) };
+            let rc = unsafe { poll_syscall(fds.as_mut_ptr(), fds.len() as NFds, timeout_ms) };
             if rc >= 0 {
                 return Ok(rc as usize);
             }
@@ -476,7 +511,7 @@ mod sys {
         ))
     }
 
-    pub fn poll_fds(_fds: &mut [PollFd], _timeout_ms: i32) -> io::Result<usize> {
+    pub fn poll(_fds: &mut [PollFd], _timeout_ms: i32) -> io::Result<usize> {
         unsupported()
     }
 
@@ -493,28 +528,11 @@ mod sys {
     }
 }
 
-/// Sweeps `fds` once: blocks up to `timeout_ms` (negative = forever,
-/// 0 = nonblocking probe) and returns how many entries have non-zero
-/// `revents`. `EINTR` is retried internally.
-pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-    sys::poll_fds(fds, timeout_ms)
-}
-
-/// Blocks until `fd` is readable (or error/hangup). `Ok(false)` = timeout.
-pub fn wait_readable(fd: Fd, timeout_ms: i32) -> io::Result<bool> {
-    wait_single(fd, POLLIN, timeout_ms)
-}
-
 /// Blocks until `fd` is writable (or error/hangup). `Ok(false)` = timeout.
 pub fn wait_writable(fd: Fd, timeout_ms: i32) -> io::Result<bool> {
-    wait_single(fd, POLLOUT, timeout_ms)
-}
-
-fn wait_single(fd: Fd, events: i16, timeout_ms: i32) -> io::Result<bool> {
-    let mut set = [PollFd::new(fd, events)];
-    let n = poll_fds(&mut set, timeout_ms)?;
-    // POLLERR/POLLHUP count as "ready": the next read/write surfaces the
-    // real error instead of this call guessing at it.
+    let n = sys::poll(&mut [PollFd::new(fd, POLLOUT)], timeout_ms)?;
+    // POLLERR/POLLHUP count as "ready": the next write surfaces the real
+    // error instead of this call guessing at it.
     Ok(n > 0)
 }
 
@@ -541,128 +559,91 @@ pub fn set_send_buffer(fd: Fd, bytes: usize) -> io::Result<()> {
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
+    use std::io::Write;
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
 
+    fn pair(listener: &TcpListener) -> (TcpStream, TcpStream) {
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, server)
+    }
+
+    /// The readiness contract every backend honours, one body per
+    /// backend: only ready registrations are reported, `modify` replaces
+    /// interest and token, hangup is reported, and after `delete` a
+    /// still-open dup of the fd is never reported again.
+    macro_rules! readiness_contract {
+        ($($(#[$attr:meta])* $name:ident: $backend:path;)*) => {$(
+            #[test]
+            $(#[$attr])*
+            fn $name() {
+                use $backend as backend;
+                let p = backend::Poller::new().unwrap();
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let (mut a_client, a_srv) = pair(&listener);
+                let (b_client, b_srv) = pair(&listener);
+                p.add(a_srv.as_raw_fd(), POLLIN, 10).unwrap();
+                p.add(b_srv.as_raw_fd(), POLLIN, 20).unwrap();
+
+                // Nothing sent: a zero-timeout probe finds nothing.
+                let mut events = Vec::new();
+                assert_eq!(p.wait(&mut events, 0).unwrap(), 0);
+
+                // Only the ready registration is reported.
+                a_client.write_all(b"hello").unwrap();
+                assert_eq!(p.wait(&mut events, 2_000).unwrap(), 1);
+                assert_eq!(events[0].token, 10);
+                assert!(events[0].ready(POLLIN));
+
+                // `modify` is honoured: POLLOUT on b, under a new token, is
+                // ready at once (its send buffer is empty).
+                p.modify(b_srv.as_raw_fd(), POLLIN | POLLOUT, 21).unwrap();
+                assert_eq!(p.wait(&mut events, 2_000).unwrap(), 2);
+                let b_ev = events.iter().find(|e| e.token == 21).unwrap();
+                assert!(b_ev.ready(POLLOUT) && !b_ev.ready(POLLIN));
+
+                // After `delete`, a's pending data is never reported again,
+                // even through a dup that keeps the socket open after the
+                // registered fd is closed.
+                let a_dup = a_srv.try_clone().unwrap();
+                p.delete(a_srv.as_raw_fd()).unwrap();
+                drop(a_srv);
+                p.modify(b_srv.as_raw_fd(), POLLIN, 22).unwrap();
+                assert_eq!(p.wait(&mut events, 100).unwrap(), 0, "{events:?}");
+
+                // Hangup is reported (EOF shows as POLLIN and/or POLLHUP).
+                drop(b_client);
+                assert_eq!(p.wait(&mut events, 2_000).unwrap(), 1);
+                assert_eq!(events[0].token, 22);
+                assert!(events[0].ready(POLLIN) || events[0].failed());
+                drop(a_dup);
+            }
+        )*};
+    }
+
+    readiness_contract! {
+        #[cfg(target_os = "linux")]
+        epoll_honours_the_readiness_contract: super::epoll;
+        poll_set_honours_the_readiness_contract: super::poll_set;
+    }
+
     #[test]
-    fn poll_reports_readable_after_write_and_timeout_before() {
+    fn poller_is_the_platform_backend() {
+        let expect = if cfg!(target_os = "linux") {
+            "epoll"
+        } else {
+            "poll"
+        };
+        assert_eq!(Poller::NAME, expect);
+        Poller::new().unwrap();
+    }
+
+    #[test]
+    fn wait_writable_sees_an_empty_send_buffer() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (mut server, _) = listener.accept().unwrap();
-
-        // Nothing sent yet: a zero-timeout probe finds nothing.
-        assert!(!wait_readable(server.as_raw_fd(), 0).unwrap());
-
-        client.write_all(b"x").unwrap();
-        assert!(wait_readable(server.as_raw_fd(), 2_000).unwrap());
-        let mut b = [0u8; 1];
-        server.read_exact(&mut b).unwrap();
-        assert_eq!(&b, b"x");
-
-        // A fresh socket with empty send buffer is writable immediately.
+        let (client, _server) = pair(&listener);
         assert!(wait_writable(client.as_raw_fd(), 2_000).unwrap());
-    }
-
-    #[test]
-    fn poll_sweep_flags_only_the_ready_fd() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut a_client = TcpStream::connect(addr).unwrap();
-        let (a_srv, _) = listener.accept().unwrap();
-        let b_client = TcpStream::connect(addr).unwrap();
-        let (b_srv, _) = listener.accept().unwrap();
-
-        a_client.write_all(b"hello").unwrap();
-        let mut set = [
-            PollFd::new(a_srv.as_raw_fd(), POLLIN),
-            PollFd::new(b_srv.as_raw_fd(), POLLIN),
-        ];
-        let n = poll_fds(&mut set, 2_000).unwrap();
-        assert_eq!(n, 1);
-        assert!(set[0].ready(POLLIN));
-        assert!(!set[1].ready(POLLIN));
-        drop(b_client);
-    }
-
-    #[test]
-    fn hangup_is_reported() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (srv, _) = listener.accept().unwrap();
-        drop(client);
-        let mut set = [PollFd::new(srv.as_raw_fd(), POLLIN)];
-        let n = poll_fds(&mut set, 2_000).unwrap();
-        assert_eq!(n, 1);
-        // EOF shows as POLLIN (read returns 0) and/or POLLHUP.
-        assert!(set[0].ready(POLLIN) || set[0].failed());
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn epoll_reports_only_ready_registrations_and_honors_modify() {
-        assert!(epoll_supported());
-        let ep = Epoll::new().unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut a_client = TcpStream::connect(addr).unwrap();
-        let (a_srv, _) = listener.accept().unwrap();
-        let b_client = TcpStream::connect(addr).unwrap();
-        let (b_srv, _) = listener.accept().unwrap();
-
-        ep.add(a_srv.as_raw_fd(), POLLIN, 10).unwrap();
-        ep.add(b_srv.as_raw_fd(), POLLIN, 20).unwrap();
-
-        // Nothing sent: a zero-timeout probe finds nothing.
-        let mut events = Vec::new();
-        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0);
-
-        a_client.write_all(b"hello").unwrap();
-        let n = ep.wait(&mut events, 2_000).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(events[0].token, 10);
-        assert!(events[0].ready(POLLIN));
-
-        // Add POLLOUT interest on b: an empty send buffer is writable now.
-        ep.modify(b_srv.as_raw_fd(), POLLIN | POLLOUT, 21).unwrap();
-        let n = ep.wait(&mut events, 2_000).unwrap();
-        assert_eq!(n, 2);
-        let b_ev = events.iter().find(|e| e.token == 21).unwrap();
-        assert!(b_ev.ready(POLLOUT) && !b_ev.ready(POLLIN));
-
-        // Deregister a: its pending data stops being reported.
-        ep.del(a_srv.as_raw_fd()).unwrap();
-        let n = ep.wait(&mut events, 100).unwrap();
-        assert!(events.iter().all(|e| e.token != 10), "{n} events");
-        drop(b_client);
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn epoll_reports_hangup() {
-        let ep = Epoll::new().unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (srv, _) = listener.accept().unwrap();
-        ep.add(srv.as_raw_fd(), POLLIN, 7).unwrap();
-        drop(client);
-        let mut events = Vec::new();
-        let n = ep.wait(&mut events, 2_000).unwrap();
-        assert_eq!(n, 1);
-        assert!(events[0].ready(POLLIN) || events[0].failed());
-    }
-
-    #[test]
-    #[cfg(not(target_os = "linux"))]
-    fn epoll_is_cleanly_unsupported() {
-        assert!(!epoll_supported());
-        assert_eq!(
-            Epoll::new().unwrap_err().kind(),
-            std::io::ErrorKind::Unsupported
-        );
     }
 
     #[test]

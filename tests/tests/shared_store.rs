@@ -139,6 +139,22 @@ fn racing_readers_never_observe_stale_values() {
     }
 }
 
+/// The race above, made deterministic: a reader pinned to an old snapshot
+/// resolves after a newer write has published and memoizes the old value.
+/// Every write must raise the cache watermark — even when the cache is
+/// empty — so that stale fill is rejected instead of served to newer
+/// readers.
+#[test]
+fn old_snapshot_fill_is_never_served_to_newer_readers() {
+    let (shared, interface, imps) = setup(1);
+    let imp = imps[0];
+    shared.set_attr(interface, "A", Value::Int(1)).unwrap();
+    let old = shared.snapshot();
+    shared.set_attr(interface, "A", Value::Int(2)).unwrap();
+    assert_eq!(old.attr(imp, "A").unwrap(), Value::Int(1));
+    assert_eq!(shared.attr(imp, "A").unwrap(), Value::Int(2));
+}
+
 /// Structural writes race reads: bind/unbind toggling must flip the read
 /// between Missing and the live value, never anything else.
 #[test]
