@@ -14,8 +14,11 @@
 //! - writers serialize on a **master copy** behind an exclusive lock,
 //!   stamp the cycle with a fresh monotonic version, mutate, then publish
 //!   `Arc::new(master.clone())` — a structural-sharing clone
-//!   ([`crate::snapshot`]) whose cost is bounded by shard/chunk counts,
-//!   not store size. Publish latency and snapshot age are recorded as
+//!   ([`crate::snapshot`]) that bumps one root refcount per collection.
+//!   The write itself copied only the trie paths of the keys it touched
+//!   (O(log₃₂ n) nodes each), so publishing costs O(touched), not store
+//!   size. The superseded version is dropped after both locks are
+//!   released. Publish latency and snapshot age are recorded as
 //!   `ccdb_core_snapshot_*` metrics;
 //! - the resolution value cache is **shared across snapshots** and stays
 //!   correct via version stamps and per-shard invalidation watermarks
@@ -34,6 +37,7 @@
 //! scan out over scoped threads sharing **one** pinned snapshot — the
 //! multi-threaded read path measured by experiments E11/E17.
 
+use std::mem;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -142,7 +146,10 @@ impl SharedStore {
             Ok(out) => {
                 let t0 = Instant::now();
                 let snap = Arc::new(guard.clone());
-                *self.inner.published.write() = snap;
+                // Swap only under the lock: dropping the superseded version
+                // frees the nodes no newer version shares, and pins must not
+                // wait for that.
+                let superseded = mem::replace(&mut *self.inner.published.write(), snap);
                 drop(guard);
                 self.inner
                     .last_publish_ns
@@ -155,6 +162,7 @@ impl SharedStore {
                     m.snapshot_version.set(version as i64);
                     m.snapshot_age_ms.set(0);
                 }
+                drop(superseded);
                 out
             }
             Err(payload) => {

@@ -26,7 +26,7 @@ use crate::rescache::{ShardedResCache, DEFAULT_RESOLUTION_CACHE_SHARDS};
 use crate::schema::{
     Catalog, Constraint, EffectiveSchema, ItemSource, ParticipantSpec, SubrelSpec,
 };
-use crate::snapshot::{AppendLog, CowMap};
+use crate::snapshot::{AppendLog, CowMap, CowSet};
 use crate::surrogate::{Surrogate, SurrogateGen};
 use crate::value::Value;
 
@@ -112,12 +112,15 @@ impl DeletionRecord {
 /// The in-memory object store. Persistence is provided by
 /// [`crate::persist`]; concurrency control by `ccdb-txn` on top.
 ///
-/// The big collections are copy-on-write ([`crate::snapshot`]): cloning the
-/// store shares every untouched object/index/log chunk with the clone, which
-/// is what makes [`crate::shared::SharedStore`]'s per-write snapshot
-/// publication cheap. The schema memo, resolution value cache, and stats
-/// counters are `Arc`-shared across clones (they are caches/telemetry over
-/// immutable schema, not versioned data).
+/// The big collections are persistent ([`crate::snapshot`]): cloning the
+/// store bumps one root refcount per collection, and a later mutation
+/// copies only the trie path of the key it touches (O(log₃₂ n) nodes) or
+/// one log chunk, so every untouched object, index entry and chunk stays
+/// shared with the clone. That is what makes
+/// [`crate::shared::SharedStore`]'s per-write snapshot publication cost
+/// O(touched) rather than O(store). The schema memo, resolution value
+/// cache, and stats counters are `Arc`-shared across clones (they are
+/// caches/telemetry over immutable schema, not versioned data).
 pub struct ObjectStore {
     catalog: Arc<Catalog>,
     gen: SurrogateGen,
@@ -159,7 +162,7 @@ pub struct ObjectStore {
     /// [`ObjectStore::unindex_object`], which wrap every insertion into and
     /// removal from `objects`, so `select` iterates one type's extent
     /// instead of the whole store.
-    extent: CowMap<String, HashSet<Surrogate>>,
+    extent: CowMap<String, CowSet<Surrogate>>,
     /// Ablation switch for E1: when off, transmitter updates skip the
     /// adaptation-flag walk (losing the paper's notification semantics).
     adaptation_enabled: bool,
@@ -175,11 +178,12 @@ pub struct ObjectStore {
 }
 
 impl Clone for ObjectStore {
-    /// O(shards + chunks + classes) structural-sharing clone — the snapshot
-    /// publication step. The clone shares the schema memo, the resolution
-    /// value cache, and the stats counters with the original (they are
-    /// caches over immutable schema / process telemetry, not versioned
-    /// state); all object data is copy-on-write.
+    /// O(chunks + classes) structural-sharing clone — the snapshot
+    /// publication step; each persistent map contributes one refcount.
+    /// The clone shares the schema memo, the resolution value cache, and
+    /// the stats counters with the original (they are caches over
+    /// immutable schema / process telemetry, not versioned state); all
+    /// object data is copy-on-write.
     fn clone(&self) -> Self {
         ObjectStore {
             catalog: Arc::clone(&self.catalog),
@@ -1770,7 +1774,7 @@ impl ObjectStore {
             // existing in the effective schema so unknown attributes still
             // surface the interpreter's `NoSuchAttribute`.
             if self.effective(type_name)?.attr(name).is_some() {
-                for &s in extent {
+                for &s in extent.iter() {
                     if self.attr(s, name)? == *lit {
                         hits.push(s);
                     }
@@ -1779,7 +1783,7 @@ impl ObjectStore {
                 return Ok(hits);
             }
         }
-        for &s in extent {
+        for &s in extent.iter() {
             if let Value::Bool(true) = eval(self, s, &mut Env::new(), predicate)? {
                 hits.push(s);
             }
@@ -1913,7 +1917,7 @@ impl ObjectStore {
             }
         }
         for (ty, members) in self.extent.iter() {
-            for m in members {
+            for m in members.iter() {
                 match self.objects.get(m) {
                     None => problems.push(format!("extent[{ty}] lists dead {m}")),
                     Some(o) if &o.type_name != ty => {

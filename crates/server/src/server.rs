@@ -185,6 +185,10 @@ struct Session {
     requests: AtomicU64,
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
+    /// Responses already sent on this session whose flight records are
+    /// not yet in the recorder (a request is recorded just after its
+    /// response goes out, so its write phase is measured).
+    unrecorded: AtomicU64,
     started: Instant,
 }
 
@@ -248,6 +252,18 @@ impl OutBuf {
 impl Session {
     fn proto(&self) -> u8 {
         self.proto.load(Ordering::Relaxed)
+    }
+
+    /// Waits until every response already sent on this session has its
+    /// flight record in the recorder, so a client that reads a reply and
+    /// then asks for `flight` finds that request. The wait covers a
+    /// worker's few steps between its send and its record; the deadline
+    /// only keeps a stuck worker from holding the caller.
+    fn await_flight_records(&self) {
+        let deadline = Instant::now() + Duration::from_millis(100);
+        while self.unrecorded.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+            thread::yield_now();
+        }
     }
 
     fn info_json(&self) -> Json {
@@ -1074,6 +1090,7 @@ impl EventLoop {
             requests: AtomicU64::new(0),
             bytes_in: AtomicU64::new(0),
             bytes_out: AtomicU64::new(0),
+            unrecorded: AtomicU64::new(0),
             started: Instant::now(),
         });
         self.inner
@@ -1693,6 +1710,9 @@ fn run_request(inner: &Arc<Inner>, job: Job, queue_ns: u64) {
         s.u64("session", session.id);
     }
 
+    if request.verb == "flight" {
+        session.await_flight_records();
+    }
     let handle_start = Instant::now();
     let wait0_lock = lockprobe::thread_lock_wait_ns();
     let wait0_snap = lockprobe::thread_snapshot_wait_ns();
@@ -1749,6 +1769,7 @@ fn run_request(inner: &Arc<Inner>, job: Job, queue_ns: u64) {
     let payload = session.encode(&response);
     let serialized = Instant::now();
     let serialize_ns = serialized.duration_since(handled).as_nanos() as u64;
+    session.unrecorded.fetch_add(1, Ordering::SeqCst);
     session.send_bytes(&payload);
     let write_ns = serialized.elapsed().as_nanos() as u64;
 
@@ -1786,6 +1807,7 @@ fn run_request(inner: &Arc<Inner>, job: Job, queue_ns: u64) {
         session: session.id,
         proto: session.proto(),
     });
+    session.unrecorded.fetch_sub(1, Ordering::SeqCst);
     m.request_latency
         .observe(admitted.elapsed().as_nanos() as u64);
     drop(span);
