@@ -13,11 +13,11 @@ use std::time::Instant;
 use ccdb_core::expr::Expr;
 use ccdb_core::schema::{Catalog, ItemSource};
 use ccdb_core::shared::SharedStore;
-use ccdb_core::{CoreError, Surrogate, Value};
+use ccdb_core::{CoreError, ObjectStore, Surrogate, Value};
 use ccdb_txn::{SessionError, TxnRegistry};
 use serde_json::Value as Json;
 
-use crate::proto::ErrorKind;
+use crate::proto::{ErrorKind, Verb, VerbClass};
 
 /// Handler failure: wire error kind plus client-safe message.
 pub(crate) type HandlerError = (ErrorKind, String);
@@ -38,6 +38,8 @@ pub(crate) struct ServerContext {
     pub max_proto: u8,
     /// Whether the event loop executes read-only snapshot verbs inline.
     pub inline_reads: bool,
+    /// Whether the test-only `boom` verb is enabled.
+    pub debug_verbs: bool,
 }
 
 impl Default for ServerContext {
@@ -49,6 +51,7 @@ impl Default for ServerContext {
             rescache_shards: 0,
             max_proto: crate::proto::PROTOCOL_V2,
             inline_reads: false,
+            debug_verbs: false,
         }
     }
 }
@@ -129,23 +132,7 @@ fn handle_telemetry(params: &Json) -> HandlerResult {
         .max(interval_ms);
     let window_samples = (window_ms.div_ceil(interval_ms) as usize).clamp(1, retention);
     let window_secs = (window_samples as u64 * interval_ms) as f64 / 1_000.0;
-    let patterns = {
-        let named: Vec<String> = params
-            .get("series")
-            .and_then(Json::as_array)
-            .map(|items| {
-                items
-                    .iter()
-                    .filter_map(|v| v.as_str().map(String::from))
-                    .collect()
-            })
-            .unwrap_or_default();
-        if named.is_empty() {
-            vec!["ccdb_server_*".to_string()]
-        } else {
-            named
-        }
-    };
+    let patterns = series_patterns(params);
 
     let mut series = Vec::new();
     for (name, kind) in ts.names_matching(&patterns) {
@@ -188,40 +175,26 @@ fn handle_telemetry(params: &Json) -> HandlerResult {
         series.push(Json::Object(fields));
     }
 
-    let verbs: Vec<Json> = crate::proto::VERBS
+    // Windowed count and p50/p95/p99 of one latency histogram.
+    let digest = |name: &str| {
+        let w = ts.hist_window(name, window_samples)?;
+        let mut fields: Vec<(String, Json)> = vec![("count".into(), Json::UInt(w.count))];
+        for (label, q) in [("p50_ns", 0.5), ("p95_ns", 0.95), ("p99_ns", 0.99)] {
+            let value = w.quantile(q).map(Json::Float).unwrap_or(Json::Null);
+            fields.push((label.into(), value));
+        }
+        Some((w.count, fields))
+    };
+    let verbs: Vec<Json> = Verb::ALL
         .iter()
         .filter_map(|v| {
-            let w = ts.hist_window(&format!("ccdb_server_phase_{v}_total_ns"), window_samples)?;
-            if w.count == 0 {
-                return None;
-            }
-            let mut fields = vec![
-                ("verb".into(), Json::String((*v).into())),
-                ("count".into(), Json::UInt(w.count)),
-            ];
-            for (label, q) in [("p50_ns", 0.5), ("p95_ns", 0.95), ("p99_ns", 0.99)] {
-                fields.push((
-                    label.into(),
-                    w.quantile(q).map(Json::Float).unwrap_or(Json::Null),
-                ));
-            }
-            Some(Json::Object(fields))
+            let (count, mut fields) = digest(&format!("ccdb_server_phase_{}_total_ns", v.name()))?;
+            fields.insert(0, ("verb".into(), Json::String(v.name().into())));
+            (count > 0).then_some(Json::Object(fields))
         })
         .collect();
-
-    let wakeup = match ts.hist_window("ccdb_server_wakeup_latency_ns", window_samples) {
-        Some(w) => {
-            let mut fields = vec![("count".into(), Json::UInt(w.count))];
-            for (label, q) in [("p50_ns", 0.5), ("p95_ns", 0.95), ("p99_ns", 0.99)] {
-                fields.push((
-                    label.into(),
-                    w.quantile(q).map(Json::Float).unwrap_or(Json::Null),
-                ));
-            }
-            Json::Object(fields)
-        }
-        None => Json::Null,
-    };
+    let wakeup =
+        digest("ccdb_server_wakeup_latency_ns").map_or(Json::Null, |(_, f)| Json::Object(f));
 
     Ok(Json::Object(vec![
         ("tick".into(), Json::UInt(ts.tick())),
@@ -238,6 +211,26 @@ fn handle_telemetry(params: &Json) -> HandlerResult {
         ("verbs".into(), Json::Array(verbs)),
         ("wakeup".into(), wakeup),
     ]))
+}
+
+/// The `series` names or trailing-`*` prefixes a `telemetry` or `watch`
+/// request selects; `ccdb_server_*` when it names none.
+pub(crate) fn series_patterns(params: &Json) -> Vec<String> {
+    let named: Vec<String> = params
+        .get("series")
+        .and_then(Json::as_array)
+        .map(|items| {
+            items
+                .iter()
+                .filter_map(|v| v.as_str().map(String::from))
+                .collect()
+        })
+        .unwrap_or_default();
+    if named.is_empty() {
+        vec!["ccdb_server_*".to_string()]
+    } else {
+        named
+    }
 }
 
 /// `flight`: dump the flight recorder (most-recent + slowest retained
@@ -421,47 +414,36 @@ fn handle_explain(catalog: &Catalog, params: &Json) -> HandlerResult {
     ]))
 }
 
-/// Verbs that take the store's exclusive lock.
-fn is_write_verb(verb: &str) -> bool {
-    matches!(verb, "create" | "set_attr" | "bind" | "unbind")
-}
-
-/// Session-level transaction verbs: they mutate per-connection state, so
-/// they are never allowed inside a `batch` frame.
-fn is_txn_verb(verb: &str) -> bool {
-    matches!(verb, "begin" | "commit" | "abort")
-}
-
 /// `begin`/`commit`/`abort` against the session's wire transaction.
 fn handle_txn_verb(
     store: &SharedStore,
     txns: &TxnRegistry,
     session: u64,
-    verb: &str,
+    verb: Verb,
 ) -> HandlerResult {
     match verb {
-        "begin" => {
+        Verb::Begin => {
             let (txn, snapshot_version) = txns.begin(session, store).map_err(session_err)?;
             Ok(Json::Object(vec![
                 ("txn".into(), Json::UInt(txn)),
                 ("snapshot_version".into(), Json::UInt(snapshot_version)),
             ]))
         }
-        "commit" => {
+        Verb::Commit => {
             let info = txns.commit(session, store).map_err(session_err)?;
             Ok(Json::Object(vec![
                 ("version".into(), Json::UInt(info.version)),
                 ("writes".into(), Json::UInt(info.writes as u64)),
             ]))
         }
-        "abort" => {
+        Verb::Abort => {
             let released = txns.abort(session).map_err(session_err)?;
             Ok(Json::Object(vec![(
                 "released".into(),
                 Json::UInt(released as u64),
             )]))
         }
-        other => Err(bad(format!("unknown verb `{other}`"))),
+        _ => Err(unknown_verb(verb.name())),
     }
 }
 
@@ -474,17 +456,17 @@ fn handle_txn_verb(
 fn handle_in_txn(
     txns: &TxnRegistry,
     session: u64,
-    verb: &str,
+    verb: Verb,
     params: &Json,
 ) -> Option<HandlerResult> {
     match verb {
-        "attr" => Some((|| {
+        Verb::Attr => Some((|| {
             let obj = surrogate_param(params, "obj")?;
             let name = str_param(params, "name")?;
             let value = txns.read_attr(session, obj, name).map_err(session_err)?;
             Ok(serde_json::to_value(&value))
         })()),
-        "set_attr" => Some((|| {
+        Verb::SetAttr => Some((|| {
             let obj = surrogate_param(params, "obj")?;
             let name = str_param(params, "name")?;
             let value = value_param(params, "value")?;
@@ -492,73 +474,89 @@ fn handle_in_txn(
                 .map_err(session_err)?;
             Ok(Json::Null)
         })()),
-        "create" | "bind" | "unbind" | "batch" => Some(Err(bad(format!(
-            "verb `{verb}` is not allowed inside a transaction; commit or abort first"
-        )))),
+        _ if matches!(verb.class(), VerbClass::Write | VerbClass::Batch) => {
+            Some(Err(bad(format!(
+                "verb `{}` is not allowed inside a transaction; commit or abort first",
+                verb.name()
+            ))))
+        }
         _ => None,
     }
 }
 
-/// Verbs that take the store's shared lock.
-fn is_read_verb(verb: &str) -> bool {
-    matches!(verb, "attr" | "select" | "check_all")
+/// Whether this request sleeps: a `ping` carrying `delay_ms` is an
+/// artificial service time (the drain and overload tests) that parks
+/// its thread, so it never runs on the event loop or inside a `batch`,
+/// whose store guard it would hold.
+pub(crate) fn sleeps(verb: Verb, params: &Json) -> bool {
+    verb == Verb::Ping && params.get("delay_ms").is_some()
 }
 
-/// Verbs that never touch the store (so a batch can run them under
-/// whichever guard it already holds, and a lone `ping` holds no guard at
-/// all). Returns `None` for store verbs.
-fn storeless_verb(
+/// The store access a verb runs under: none for a lone storeless verb,
+/// a pinned snapshot for reads, the exclusive master lock for writes. A
+/// `batch` takes one guard for all of its entries.
+enum Guard<'a> {
+    None,
+    Shared(&'a ObjectStore),
+    Exclusive(&'a mut ObjectStore),
+}
+
+impl Guard<'_> {
+    fn read(&self) -> &ObjectStore {
+        match self {
+            Guard::Shared(st) => st,
+            Guard::Exclusive(st) => st,
+            Guard::None => unreachable!("read verb dispatched without a guard"),
+        }
+    }
+
+    fn write(&mut self) -> &mut ObjectStore {
+        match self {
+            Guard::Exclusive(st) => st,
+            _ => unreachable!("write verb dispatched without the exclusive guard"),
+        }
+    }
+}
+
+/// Runs one storeless, read or write verb — a lone request or a `batch`
+/// entry — under `guard`, which the caller took to match the verb's
+/// class.
+fn run_verb(
     catalog: &Catalog,
     ctx: &ServerContext,
-    verb: &str,
+    guard: &mut Guard,
+    verb: Verb,
     params: &Json,
-    debug_verbs: bool,
-) -> Option<HandlerResult> {
+) -> HandlerResult {
     match verb {
-        "ping" => {
+        Verb::Ping => {
             // Optional artificial service time (capped); used by the drain
             // and overload tests and the latency harness.
             if let Some(ms) = params.get("delay_ms").and_then(Json::as_u64) {
                 std::thread::sleep(std::time::Duration::from_millis(ms.min(1_000)));
             }
-            Some(Ok(Json::Object(vec![
+            Ok(Json::Object(vec![
                 ("pong".into(), Json::Bool(true)),
                 ("server_info".into(), ctx.info_json()),
-            ])))
+            ]))
         }
-        "effective" => Some(handle_effective(catalog, params)),
-        "explain" => Some(handle_explain(catalog, params)),
-        "stats" => Some(
-            serde_json::from_str(&ccdb_obs::global().render_json())
-                .map_err(|e| (ErrorKind::Internal, format!("stats render: {e}"))),
-        ),
-        "metrics" => {
-            // The plaintext Prometheus scrape, `GET /metrics`-style, so the
-            // PR 1 exporter is reachable over the network.
-            Some(Ok(Json::String(ccdb_obs::global().render_prometheus())))
-        }
-        "flight" => Some(handle_flight()),
-        "telemetry" => Some(handle_telemetry(params)),
-        "boom" if debug_verbs => panic!("boom: requested handler panic"),
-        _ => None,
-    }
-}
-
-/// One read verb against an already-acquired shared guard.
-fn store_read_verb(
-    st: &ccdb_core::ObjectStore,
-    catalog: &Catalog,
-    verb: &str,
-    params: &Json,
-) -> HandlerResult {
-    match verb {
-        "attr" => {
+        Verb::Effective => handle_effective(catalog, params),
+        Verb::Explain => handle_explain(catalog, params),
+        Verb::Stats => serde_json::from_str(&ccdb_obs::global().render_json())
+            .map_err(|e| (ErrorKind::Internal, format!("stats render: {e}"))),
+        // The plaintext Prometheus scrape, `GET /metrics`-style, so the
+        // exporter is reachable over the network.
+        Verb::Metrics => Ok(Json::String(ccdb_obs::global().render_prometheus())),
+        Verb::Flight => handle_flight(),
+        Verb::Telemetry => handle_telemetry(params),
+        Verb::Boom if ctx.debug_verbs => panic!("boom: requested handler panic"),
+        Verb::Attr => {
             let obj = surrogate_param(params, "obj")?;
             let name = str_param(params, "name")?;
-            let value = st.attr(obj, name).map_err(core_err)?;
+            let value = guard.read().attr(obj, name).map_err(core_err)?;
             Ok(serde_json::to_value(&value))
         }
-        "select" => {
+        Verb::Select => {
             let ty = str_param(params, "type")?;
             let predicate = match params.get("where").and_then(Json::as_str) {
                 Some(src) => ccdb_lang::compile_expr(src, catalog)
@@ -566,11 +564,11 @@ fn store_read_verb(
                 // No predicate: match everything.
                 None => Expr::eq(Expr::int(0), Expr::int(0)),
             };
-            let hits = st.select(ty, &predicate).map_err(core_err)?;
+            let hits = guard.read().select(ty, &predicate).map_err(core_err)?;
             Ok(surrogates_json(&hits))
         }
-        "check_all" => {
-            let violations = st.check_all().map_err(core_err)?;
+        Verb::CheckAll => {
+            let violations = guard.read().check_all().map_err(core_err)?;
             Ok(Json::Array(
                 violations
                     .iter()
@@ -590,54 +588,72 @@ fn store_read_verb(
                     .collect(),
             ))
         }
-        other => Err(bad(format!("unknown verb `{other}`"))),
-    }
-}
-
-/// One write verb against an already-acquired exclusive guard.
-fn store_write_verb(st: &mut ccdb_core::ObjectStore, verb: &str, params: &Json) -> HandlerResult {
-    match verb {
-        "create" => {
+        Verb::Create => {
             let ty = str_param(params, "type")?;
             let attrs = attrs_param(params, "attrs")?;
             let owned: Vec<(&str, Value)> =
                 attrs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-            let s = st.create_object(ty, owned).map_err(core_err)?;
+            let s = guard.write().create_object(ty, owned).map_err(core_err)?;
             Ok(Json::UInt(s.0))
         }
-        "set_attr" => {
+        Verb::SetAttr => {
             let obj = surrogate_param(params, "obj")?;
             let name = str_param(params, "name")?;
             let value = value_param(params, "value")?;
-            st.set_attr(obj, name, value).map_err(core_err)?;
+            guard.write().set_attr(obj, name, value).map_err(core_err)?;
             Ok(Json::Null)
         }
-        "bind" => {
+        Verb::Bind => {
             let rel = str_param(params, "rel")?;
             let transmitter = surrogate_param(params, "transmitter")?;
             let inheritor = surrogate_param(params, "inheritor")?;
             let attrs = attrs_param(params, "attrs")?;
             let borrowed: Vec<(&str, Value)> =
                 attrs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-            let rel_obj = st
+            let rel_obj = guard
+                .write()
                 .bind(rel, transmitter, inheritor, borrowed)
                 .map_err(core_err)?;
             Ok(Json::UInt(rel_obj.0))
         }
-        "unbind" => {
+        Verb::Unbind => {
             let rel_obj = surrogate_param(params, "rel_obj")?;
-            st.unbind(rel_obj).map_err(core_err)?;
+            guard.write().unbind(rel_obj).map_err(core_err)?;
             Ok(Json::Null)
         }
-        other => Err(bad(format!("unknown verb `{other}`"))),
+        // `boom` without debug verbs; the other classes never get here.
+        _ => Err(unknown_verb(verb.name())),
     }
 }
 
-/// One pre-parsed batch entry: verb + params, or a parse error carried to
-/// its response slot.
-enum BatchEntry<'a> {
-    Run { verb: &'a str, params: &'a Json },
-    Malformed(String),
+fn unknown_verb(name: &str) -> HandlerError {
+    bad(format!("unknown verb `{name}`"))
+}
+
+/// Resolves one `batch` entry to its verb and params, or to the error its
+/// slot carries: entries that need more than one store guard — nested
+/// batches, transaction and connection-level verbs — and sleeping pings
+/// are refused in place.
+fn batch_entry<'a>(sub: &'a Json, empty: &'a Json) -> Result<(Verb, &'a Json), HandlerError> {
+    let name = sub
+        .get("verb")
+        .and_then(Json::as_str)
+        .ok_or_else(|| bad("sub-request missing `verb`"))?;
+    let verb = Verb::from_name(name).ok_or_else(|| unknown_verb(name))?;
+    let params = sub.get("params").unwrap_or(empty);
+    match verb.class() {
+        VerbClass::Batch => Err(bad("nested `batch` is not allowed")),
+        VerbClass::Txn => Err(bad(format!(
+            "transaction verb `{name}` is not allowed inside `batch`"
+        ))),
+        VerbClass::Connection | VerbClass::Shutdown => Err(bad(format!(
+            "connection-level verb `{name}` is not batchable"
+        ))),
+        _ if sleeps(verb, params) => {
+            Err(bad("`ping` with `delay_ms` is not allowed inside `batch`"))
+        }
+        _ => Ok((verb, params)),
+    }
 }
 
 /// Encodes a sub-request outcome into its positional response slot.
@@ -668,7 +684,6 @@ fn handle_batch(
     catalog: &Catalog,
     ctx: &ServerContext,
     params: &Json,
-    debug_verbs: bool,
 ) -> HandlerResult {
     let subs = param(params, "requests")?
         .as_array()
@@ -681,80 +696,29 @@ fn handle_batch(
         return Ok(Json::Array(vec![]));
     }
     let empty = Json::Object(vec![]);
-    let entries: Vec<BatchEntry> = subs
+    let entries: Vec<_> = subs.iter().map(|sub| batch_entry(sub, &empty)).collect();
+    let run = |guard: &mut Guard| -> Vec<Json> {
+        let slot = |entry: &Result<(Verb, &Json), HandlerError>| match entry {
+            Ok((verb, params)) => run_verb(catalog, ctx, guard, *verb, params),
+            Err(e) => Err(e.clone()),
+        };
+        entries.iter().map(slot).map(batch_slot).collect()
+    };
+    let slots = if entries
         .iter()
-        .map(|sub| {
-            let Some(verb) = sub.get("verb").and_then(Json::as_str) else {
-                return BatchEntry::Malformed("sub-request missing `verb`".into());
-            };
-            if verb == "batch" {
-                return BatchEntry::Malformed("nested `batch` is not allowed".into());
-            }
-            if is_txn_verb(verb) {
-                return BatchEntry::Malformed(format!(
-                    "transaction verb `{verb}` is not allowed inside `batch`"
-                ));
-            }
-            BatchEntry::Run {
-                verb,
-                params: sub.get("params").unwrap_or(&empty),
-            }
-        })
-        .collect();
-    let needs_write = entries
-        .iter()
-        .any(|e| matches!(e, BatchEntry::Run { verb, .. } if is_write_verb(verb)));
-    let slots: Vec<Json> = if needs_write {
-        store.write(|st| {
-            entries
-                .iter()
-                .map(|e| {
-                    batch_slot(match e {
-                        BatchEntry::Malformed(msg) => Err(bad(msg.clone())),
-                        BatchEntry::Run { verb, params } => {
-                            if let Some(r) = storeless_verb(catalog, ctx, verb, params, debug_verbs)
-                            {
-                                r
-                            } else if is_write_verb(verb) {
-                                store_write_verb(st, verb, params)
-                            } else if is_read_verb(verb) {
-                                store_read_verb(st, catalog, verb, params)
-                            } else {
-                                Err(bad(format!("unknown verb `{verb}`")))
-                            }
-                        }
-                    })
-                })
-                .collect()
-        })
+        .any(|e| matches!(e, Ok((verb, _)) if verb.class() == VerbClass::Write))
+    {
+        store.write(|st| run(&mut Guard::Exclusive(st)))
     } else {
-        store.read(|st| {
-            entries
-                .iter()
-                .map(|e| {
-                    batch_slot(match e {
-                        BatchEntry::Malformed(msg) => Err(bad(msg.clone())),
-                        BatchEntry::Run { verb, params } => {
-                            if let Some(r) = storeless_verb(catalog, ctx, verb, params, debug_verbs)
-                            {
-                                r
-                            } else if is_read_verb(verb) {
-                                store_read_verb(st, catalog, verb, params)
-                            } else {
-                                Err(bad(format!("unknown verb `{verb}`")))
-                            }
-                        }
-                    })
-                })
-                .collect()
-        })
+        store.read(|st| run(&mut Guard::Shared(st)))
     };
     Ok(Json::Array(slots))
 }
 
-/// Dispatches one verb. `debug_verbs` additionally enables the
-/// test-only `boom` verb (panics inside the handler, exercising the
-/// worker's panic isolation). Store verbs acquire exactly one guard —
+/// Dispatches one request: `verb` is its resolved verb, `None` when
+/// `name` is not one. The debug verb `boom` (enabled by
+/// `ServerContext::debug_verbs`) panics inside the handler, exercising
+/// the worker's panic isolation. Store verbs acquire exactly one guard —
 /// a snapshot pin for reads, the exclusive master lock for writes, and
 /// for a `batch` frame one guard covering every sub-request.
 /// `begin`/`commit`/`abort` manage the session's wire transaction in
@@ -766,30 +730,30 @@ pub(crate) fn handle_verb(
     ctx: &ServerContext,
     txns: &TxnRegistry,
     session: u64,
-    verb: &str,
+    verb: Option<Verb>,
+    name: &str,
     params: &Json,
-    debug_verbs: bool,
 ) -> HandlerResult {
-    if is_txn_verb(verb) {
-        return handle_txn_verb(store, txns, session, verb);
-    }
+    let Some(verb) = verb else {
+        return Err(unknown_verb(name));
+    };
     if txns.in_txn(session) {
         if let Some(result) = handle_in_txn(txns, session, verb, params) {
             return result;
         }
     }
-    if verb == "batch" {
-        return handle_batch(store, catalog, ctx, params, debug_verbs);
-    }
-    if let Some(result) = storeless_verb(catalog, ctx, verb, params, debug_verbs) {
-        return result;
-    }
-    if is_write_verb(verb) {
-        store.write(|st| store_write_verb(st, verb, params))
-    } else if is_read_verb(verb) {
-        store.read(|st| store_read_verb(st, catalog, verb, params))
-    } else {
-        Err(bad(format!("unknown verb `{verb}`")))
+    match verb.class() {
+        VerbClass::Txn => handle_txn_verb(store, txns, session, verb),
+        VerbClass::Batch => handle_batch(store, catalog, ctx, params),
+        VerbClass::Read => {
+            store.read(|st| run_verb(catalog, ctx, &mut Guard::Shared(st), verb, params))
+        }
+        VerbClass::Write => {
+            store.write(|st| run_verb(catalog, ctx, &mut Guard::Exclusive(st), verb, params))
+        }
+        // Storeless verbs hold no guard. The server answers the
+        // connection-level verbs and `shutdown` itself.
+        _ => run_verb(catalog, ctx, &mut Guard::None, verb, params),
     }
 }
 
@@ -847,9 +811,9 @@ mod tests {
             &ServerContext::default(),
             txns,
             session,
+            Verb::from_name(verb),
             verb,
             &params,
-            false,
         )
     }
 
@@ -1044,14 +1008,46 @@ mod tests {
             json!({"requests": [
                 {"verb": "batch", "params": {"requests": []}},
                 {"params": {"delay_ms": 0}},
+                {"verb": "session"},
+                {"verb": "watch"},
+                {"verb": "shutdown"},
+                {"verb": "begin"},
                 {"verb": "ping"},
             ]}),
         )
         .unwrap();
         let slots = out.as_array().unwrap();
-        assert_eq!(slot_error_kind(&slots[0]), Some("bad_request"));
+        for slot in &slots[..6] {
+            assert_eq!(slot_error_kind(slot), Some("bad_request"), "{slot:?}");
+        }
+        for (slot, verb) in slots[2..5].iter().zip(["session", "watch", "shutdown"]) {
+            let msg = slot.get("error").and_then(|e| e.get("message"));
+            let msg = msg.and_then(Json::as_str).unwrap();
+            assert!(msg.contains(verb) && msg.contains("not batchable"), "{msg}");
+        }
+        assert!(slot_ok(&slots[6]), "well-formed entry after malformed ones");
+    }
+
+    #[test]
+    fn batch_refuses_a_sleeping_ping_instead_of_holding_its_guard() {
+        let (store, catalog) = fixture();
+        let (interface, _) = seeded(&store, &catalog);
+        let started = Instant::now();
+        let out = call(
+            &store,
+            &catalog,
+            "batch",
+            json!({"requests": [
+                {"verb": "set_attr",
+                 "params": {"obj": interface, "name": "X", "value": {"Int": 8}}},
+                {"verb": "ping", "params": {"delay_ms": 1000}},
+            ]}),
+        )
+        .unwrap();
+        let slots = out.as_array().unwrap();
+        assert!(slot_ok(&slots[0]), "{:?}", slots[0]);
         assert_eq!(slot_error_kind(&slots[1]), Some("bad_request"));
-        assert!(slot_ok(&slots[2]), "well-formed entry after malformed ones");
+        assert!(started.elapsed() < std::time::Duration::from_millis(500));
     }
 
     /// Creates If{X=7} bound to an Impl{Local=1}; returns their surrogates.

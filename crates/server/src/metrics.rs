@@ -8,10 +8,7 @@ use ccdb_obs::flight::PHASE_NAMES;
 use ccdb_obs::metrics::{HOP_BUCKETS, LATENCY_BUCKETS_NS};
 use ccdb_obs::{Counter, Gauge, Histogram};
 
-/// The verbs the per-verb request counters are pre-registered for: the
-/// wire protocol's verb table, so the metrics surface and the v2 verb-id
-/// space can never drift apart.
-pub(crate) use crate::proto::VERBS;
+use crate::proto::Verb;
 
 /// Phase histograms for one verb: the eight per-phase series plus the
 /// first-byte-to-response-written total.
@@ -33,8 +30,9 @@ pub(crate) struct ServerMetrics {
     pub sessions_v2: Arc<Gauge>,
     /// `ccdb_server_requests_total` — every parsed request, any outcome.
     pub requests: Arc<Counter>,
-    /// `ccdb_server_requests_<verb>_total`, parallel to [`VERBS`].
-    pub requests_by_verb: Vec<(&'static str, Arc<Counter>)>,
+    /// `ccdb_server_requests_<verb>_total`, indexed by the verb (one per
+    /// entry of [`Verb::ALL`]).
+    pub requests_by_verb: [Arc<Counter>; Verb::ALL.len()],
     /// `ccdb_server_bytes_in_total` — request payload bytes read.
     pub bytes_in: Arc<Counter>,
     /// `ccdb_server_bytes_out_total` — response payload bytes written.
@@ -104,26 +102,21 @@ pub(crate) struct ServerMetrics {
     /// `ccdb_server_phase_all_total_ns` — first byte read to response
     /// written, across every verb.
     pub phase_all_total: Arc<Histogram>,
-    /// Per-verb phase histograms, parallel to [`VERBS`].
-    pub phase_by_verb: Vec<(&'static str, VerbPhases)>,
+    /// Per-verb phase histograms, indexed like `requests_by_verb`.
+    pub phase_by_verb: [VerbPhases; Verb::ALL.len()],
 }
 
 impl ServerMetrics {
-    /// The per-verb counter, or the catch-all `requests` counter for verbs
-    /// outside [`VERBS`] (unknown verbs are still counted once globally).
-    pub fn verb_counter(&self, verb: &str) -> Option<&Arc<Counter>> {
-        self.requests_by_verb
-            .iter()
-            .find(|(name, _)| *name == verb)
-            .map(|(_, c)| c)
+    /// The per-verb request counter; `None` for the debug verb `boom`,
+    /// which has no series. Requests with unknown verbs are counted only
+    /// in `requests`.
+    pub fn verb_counter(&self, verb: Verb) -> Option<&Arc<Counter>> {
+        self.requests_by_verb.get(verb as usize)
     }
 
-    /// The phase histograms for `verb`, when it is a known verb.
-    pub fn verb_phases(&self, verb: &str) -> Option<&VerbPhases> {
-        self.phase_by_verb
-            .iter()
-            .find(|(name, _)| *name == verb)
-            .map(|(_, p)| p)
+    /// The per-verb phase histograms; `None` for `boom`.
+    pub fn verb_phases(&self, verb: Verb) -> Option<&VerbPhases> {
+        self.phase_by_verb.get(verb as usize)
     }
 }
 
@@ -137,10 +130,8 @@ pub(crate) fn server_metrics() -> &'static ServerMetrics {
             sessions_v1: r.gauge("ccdb_server_sessions_v1"),
             sessions_v2: r.gauge("ccdb_server_sessions_v2"),
             requests: r.counter("ccdb_server_requests_total"),
-            requests_by_verb: VERBS
-                .iter()
-                .map(|v| (*v, r.counter(&format!("ccdb_server_requests_{v}_total"))))
-                .collect(),
+            requests_by_verb: Verb::ALL
+                .map(|v| r.counter(&format!("ccdb_server_requests_{}_total", v.name()))),
             bytes_in: r.counter("ccdb_server_bytes_in_total"),
             bytes_out: r.counter("ccdb_server_bytes_out_total"),
             overloaded: r.counter("ccdb_server_overloaded_total"),
@@ -171,26 +162,18 @@ pub(crate) fn server_metrics() -> &'static ServerMetrics {
                 )
             }),
             phase_all_total: r.histogram("ccdb_server_phase_all_total_ns", LATENCY_BUCKETS_NS),
-            phase_by_verb: VERBS
-                .iter()
-                .map(|v| {
-                    (
-                        *v,
-                        VerbPhases {
-                            phases: PHASE_NAMES.map(|phase| {
-                                r.histogram(
-                                    &format!("ccdb_server_phase_{v}_{phase}_ns"),
-                                    LATENCY_BUCKETS_NS,
-                                )
-                            }),
-                            total: r.histogram(
-                                &format!("ccdb_server_phase_{v}_total_ns"),
-                                LATENCY_BUCKETS_NS,
-                            ),
-                        },
+            phase_by_verb: Verb::ALL.map(|v| {
+                let histogram = |phase: &str| {
+                    r.histogram(
+                        &format!("ccdb_server_phase_{}_{phase}_ns", v.name()),
+                        LATENCY_BUCKETS_NS,
                     )
-                })
-                .collect(),
+                };
+                VerbPhases {
+                    phases: PHASE_NAMES.map(histogram),
+                    total: histogram("total"),
+                }
+            }),
         }
     })
 }
@@ -202,10 +185,10 @@ mod tests {
     #[test]
     fn verb_counters_cover_every_verb() {
         let m = server_metrics();
-        for v in VERBS {
-            assert!(m.verb_counter(v).is_some(), "no counter for {v}");
+        for v in Verb::ALL {
+            assert!(m.verb_counter(v).is_some(), "no counter for {v:?}");
         }
-        assert!(m.verb_counter("no_such_verb").is_none());
+        assert!(m.verb_counter(Verb::Boom).is_none());
     }
 
     #[test]
@@ -248,12 +231,12 @@ mod tests {
     #[test]
     fn phase_histograms_cover_every_verb_and_phase() {
         let m = server_metrics();
-        for v in VERBS {
+        for v in Verb::ALL {
             let p = m
                 .verb_phases(v)
-                .unwrap_or_else(|| panic!("no phases for {v}"));
+                .unwrap_or_else(|| panic!("no phases for {v:?}"));
             assert_eq!(p.phases.len(), PHASE_NAMES.len());
         }
-        assert!(m.verb_phases("no_such_verb").is_none());
+        assert!(m.verb_phases(Verb::Boom).is_none());
     }
 }

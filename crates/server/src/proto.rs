@@ -365,56 +365,139 @@ pub fn err_response(id: u64, kind: ErrorKind, message: &str) -> Json {
 // Protocol v2: binary framing
 // ---------------------------------------------------------------------------
 
-/// Every public verb the server speaks, in wire-id order: the v2 verb id
-/// is `index + 1`. Metrics pre-register per-verb counters from this list.
-pub const VERBS: &[&str] = &[
-    "ping",
-    "session",
-    "create",
-    "attr",
-    "set_attr",
-    "bind",
-    "unbind",
-    "select",
-    "check_all",
-    "effective",
-    "explain",
-    "stats",
-    "metrics",
-    "flight",
-    "batch",
-    "shutdown",
-    // Appended in PR 8 — ids must stay append-only so v1↔v2 verb ids
-    // never drift between releases.
-    "telemetry",
-    "watch",
-    // Appended in PR 9: wire transactions (ids 19, 20, 21).
-    "begin",
-    "commit",
-    "abort",
-];
-
-/// Debug-only verb id (the `boom` panic probe, enabled by
-/// `ServerConfig::debug_verbs`). Kept far from the public range so new
-/// public verbs never collide with it.
-const VERB_ID_BOOM: u8 = 0xF0;
-
-/// The v2 verb id for `verb`, when it has one.
-pub fn verb_id(verb: &str) -> Option<u8> {
-    if verb == "boom" {
-        return Some(VERB_ID_BOOM);
-    }
-    VERBS.iter().position(|v| *v == verb).map(|i| (i + 1) as u8)
+/// Every verb the server speaks. What the server knows about each one
+/// lives in its [`VERB_TABLE`] row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verb {
+    Ping,
+    Session,
+    Create,
+    Attr,
+    SetAttr,
+    Bind,
+    Unbind,
+    Select,
+    CheckAll,
+    Effective,
+    Explain,
+    Stats,
+    Metrics,
+    Flight,
+    Batch,
+    Shutdown,
+    Telemetry,
+    Watch,
+    Begin,
+    Commit,
+    Abort,
+    Boom,
 }
 
-/// The verb named by a v2 verb id, when the id is assigned.
-pub fn verb_name(id: u8) -> Option<&'static str> {
-    if id == VERB_ID_BOOM {
-        return Some("boom");
+/// How the server runs a verb.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum VerbClass {
+    /// Answered by the event loop against the connection itself.
+    Connection,
+    /// Touches no store, so it runs under whatever guard is held, or none.
+    Storeless,
+    /// Runs against a pinned snapshot.
+    Read,
+    /// Runs under the store's exclusive master lock.
+    Write,
+    /// Manages the session's wire transaction.
+    Txn,
+    /// Many entries under one store guard.
+    Batch,
+    /// Drains the server.
+    Shutdown,
+}
+
+/// The verb table, one row per [`Verb`] in declaration order: wire name,
+/// v2 id, class, and whether the event loop may run it inline (read-only
+/// or storeless, and never blocking). Public ids are append-only, so v1
+/// names and v2 ids never drift between releases; per-verb metrics are
+/// registered from the public rows. `boom` is the debug panic probe
+/// (`ServerConfig::debug_verbs`); its id sits far from the public range
+/// and it has no metrics series.
+const VERB_TABLE: [(Verb, &str, u8, VerbClass, bool); 22] = [
+    (Verb::Ping, "ping", 1, VerbClass::Storeless, true),
+    (Verb::Session, "session", 2, VerbClass::Connection, false),
+    (Verb::Create, "create", 3, VerbClass::Write, false),
+    (Verb::Attr, "attr", 4, VerbClass::Read, true),
+    (Verb::SetAttr, "set_attr", 5, VerbClass::Write, false),
+    (Verb::Bind, "bind", 6, VerbClass::Write, false),
+    (Verb::Unbind, "unbind", 7, VerbClass::Write, false),
+    (Verb::Select, "select", 8, VerbClass::Read, true),
+    (Verb::CheckAll, "check_all", 9, VerbClass::Read, true),
+    (Verb::Effective, "effective", 10, VerbClass::Storeless, true),
+    (Verb::Explain, "explain", 11, VerbClass::Storeless, false),
+    (Verb::Stats, "stats", 12, VerbClass::Storeless, true),
+    (Verb::Metrics, "metrics", 13, VerbClass::Storeless, true),
+    // Not inline: it waits for its session's pending flight records.
+    (Verb::Flight, "flight", 14, VerbClass::Storeless, false),
+    (Verb::Batch, "batch", 15, VerbClass::Batch, false),
+    (Verb::Shutdown, "shutdown", 16, VerbClass::Shutdown, false),
+    (Verb::Telemetry, "telemetry", 17, VerbClass::Storeless, true),
+    (Verb::Watch, "watch", 18, VerbClass::Connection, false),
+    (Verb::Begin, "begin", 19, VerbClass::Txn, false),
+    (Verb::Commit, "commit", 20, VerbClass::Txn, false),
+    (Verb::Abort, "abort", 21, VerbClass::Txn, false),
+    (Verb::Boom, "boom", 0xF0, VerbClass::Storeless, false),
+];
+
+const _: () = {
+    let mut i = 0;
+    while i < VERB_TABLE.len() {
+        assert!(
+            VERB_TABLE[i].0 as usize == i,
+            "VERB_TABLE rows out of order"
+        );
+        i += 1;
     }
-    (id as usize)
-        .checked_sub(1)
-        .and_then(|i| VERBS.get(i).copied())
+};
+
+impl Verb {
+    /// The public verbs in v2-id order; `ALL[v as usize] == v`, so
+    /// per-verb arrays built from it are indexed by the verb.
+    pub const ALL: [Verb; 21] = {
+        let mut all = [Verb::Ping; 21];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = VERB_TABLE[i].0;
+            i += 1;
+        }
+        all
+    };
+
+    /// The wire name.
+    pub fn name(self) -> &'static str {
+        VERB_TABLE[self as usize].1
+    }
+
+    /// The v2 verb id.
+    pub fn id(self) -> u8 {
+        VERB_TABLE[self as usize].2
+    }
+
+    /// How the server runs it.
+    pub fn class(self) -> VerbClass {
+        VERB_TABLE[self as usize].3
+    }
+
+    /// Whether the event loop may run it inline.
+    pub fn inline(self) -> bool {
+        VERB_TABLE[self as usize].4
+    }
+
+    /// The verb with this wire name.
+    pub fn from_name(name: &str) -> Option<Verb> {
+        VERB_TABLE.iter().find(|row| row.1 == name).map(|row| row.0)
+    }
+
+    /// The verb with this v2 id.
+    pub fn from_id(id: u8) -> Option<Verb> {
+        VERB_TABLE.iter().find(|row| row.2 == id).map(|row| row.0)
+    }
 }
 
 /// v2 header flag: an 8-byte trace id follows the fixed header.
@@ -580,11 +663,11 @@ impl Request {
     /// Encodes this request as a v2 frame payload (header + bval params).
     /// Fails only for verbs without an assigned v2 id.
     pub fn encode_v2(&self) -> Result<Vec<u8>, String> {
-        let verb =
-            verb_id(&self.verb).ok_or_else(|| format!("verb `{}` has no v2 id", self.verb))?;
+        let verb = Verb::from_name(&self.verb)
+            .ok_or_else(|| format!("verb `{}` has no v2 id", self.verb))?;
         let mut out = Vec::with_capacity(V2_HEADER_LEN + 16);
         out.push(PROTOCOL_V2);
-        out.push(verb);
+        out.push(verb.id());
         out.push(if self.trace.is_some() {
             V2_FLAG_TRACE
         } else {
@@ -616,8 +699,9 @@ impl Request {
                 payload[0]
             ));
         }
-        let verb = verb_name(payload[1])
+        let verb = Verb::from_id(payload[1])
             .ok_or_else(|| format!("unknown v2 verb id {}", payload[1]))?
+            .name()
             .to_string();
         let flags = payload[2];
         if flags & !V2_FLAG_TRACE != 0 {
@@ -843,18 +927,72 @@ mod tests {
         assert_eq!(&w.bytes[4..], b"payload");
     }
 
+    /// The wire ids as literals, the same pairs the CI Python clients
+    /// hard-code: any id that shifts breaks deployed clients and fails
+    /// here.
     #[test]
-    fn verb_ids_are_stable_and_bijective() {
-        for (i, v) in VERBS.iter().enumerate() {
-            let id = verb_id(v).unwrap_or_else(|| panic!("no id for {v}"));
-            assert_eq!(id, (i + 1) as u8);
-            assert_eq!(verb_name(id), Some(*v));
+    fn verb_table_matches_the_golden_wire_ids_and_bytes() {
+        const GOLDEN: [(&str, u8); 22] = [
+            ("ping", 1),
+            ("session", 2),
+            ("create", 3),
+            ("attr", 4),
+            ("set_attr", 5),
+            ("bind", 6),
+            ("unbind", 7),
+            ("select", 8),
+            ("check_all", 9),
+            ("effective", 10),
+            ("explain", 11),
+            ("stats", 12),
+            ("metrics", 13),
+            ("flight", 14),
+            ("batch", 15),
+            ("shutdown", 16),
+            ("telemetry", 17),
+            ("watch", 18),
+            ("begin", 19),
+            ("commit", 20),
+            ("abort", 21),
+            ("boom", 0xF0),
+        ];
+        for (name, id) in GOLDEN {
+            let verb = Verb::from_name(name).unwrap_or_else(|| panic!("no verb {name}"));
+            assert_eq!((verb.name(), verb.id()), (name, id));
+            assert_eq!(Verb::from_id(id), Some(verb), "id {id}");
         }
-        assert_eq!(verb_id("boom"), Some(VERB_ID_BOOM));
-        assert_eq!(verb_name(VERB_ID_BOOM), Some("boom"));
-        assert_eq!(verb_id("no_such_verb"), None);
-        assert_eq!(verb_name(0), None);
-        assert_eq!(verb_name(99), None);
+        let public: Vec<&str> = Verb::ALL.iter().map(|v| v.name()).collect();
+        let golden: Vec<&str> = GOLDEN[..21].iter().map(|(name, _)| *name).collect();
+        assert_eq!(public, golden);
+        for id in [0].into_iter().chain(22..=0xEF).chain(0xF1..=0xFF) {
+            assert_eq!(Verb::from_id(id), None, "id {id} is unassigned");
+        }
+        assert_eq!(Verb::from_name("no_such_verb"), None);
+
+        // Exact frames: a `set_attr` request and both response shapes.
+        let req = Request {
+            id: 7,
+            verb: "set_attr".into(),
+            params: Json::Object(vec![
+                ("obj".into(), Json::UInt(3)),
+                ("name".into(), Json::String("X".into())),
+                (
+                    "value".into(),
+                    Json::Object(vec![("Int".into(), Json::Int(12))]),
+                ),
+            ]),
+            trace: None,
+        };
+        let want: &[u8] = b"\x02\x05\x00\x00\0\0\0\0\0\0\0\x07\
+            \x08\0\0\0\x03\
+            \0\0\0\x03obj\x04\0\0\0\0\0\0\0\x03\
+            \0\0\0\x04name\x06\0\0\0\x01X\
+            \0\0\0\x05value\x08\0\0\0\x01\0\0\0\x03Int\x03\0\0\0\0\0\0\0\x0c";
+        assert_eq!(req.encode_v2().unwrap(), want);
+        let ok = encode_response_v2(&ok_response(7, Json::Null));
+        assert_eq!(ok, b"\x02\x00\x00\x00\0\0\0\0\0\0\0\x07\x00");
+        let err = encode_response_v2(&err_response(7, ErrorKind::BadRequest, "no"));
+        assert_eq!(err, b"\x02\x02\x00\x00\0\0\0\0\0\0\0\x07\x06\0\0\0\x02no");
     }
 
     #[test]
@@ -933,7 +1071,7 @@ mod tests {
         };
         let payload = req.encode_v2().unwrap();
         assert_eq!(payload[0], PROTOCOL_V2);
-        assert_eq!(payload[1], verb_id("set_attr").unwrap());
+        assert_eq!(payload[1], Verb::SetAttr.id());
         let back = Request::parse_v2(&payload).unwrap();
         assert_eq!(back.id, req.id);
         assert_eq!(back.verb, "set_attr");

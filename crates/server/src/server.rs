@@ -37,9 +37,10 @@
 //!   load beyond capacity costs one response, never unbounded memory.
 //! - **Inline fast path**: read-only snapshot verbs (`ping`, `attr`,
 //!   `select`, `effective`, `check_all`, `stats`, `metrics`,
-//!   `telemetry`, `flight`) execute directly on the event-loop thread
-//!   against a pinned MVCC snapshot when the queue is shallow — no
-//!   enqueue, no worker wakeup. Write verbs, txn verbs, batches, and
+//!   `telemetry`; the inline column of the verb table) execute directly
+//!   on the event-loop thread against a pinned MVCC snapshot when the
+//!   queue is shallow — no enqueue, no worker wakeup. Write verbs, txn
+//!   verbs, batches, `flight` (it waits for pending flight records), and
 //!   in-transaction sessions always go to workers, and a per-iteration
 //!   time budget falls back to the queue under load so the loop cannot
 //!   starve its readiness duties.
@@ -87,11 +88,11 @@ use ccdb_obs::TraceId;
 use ccdb_txn::TxnRegistry;
 use serde_json::Value as Json;
 
-use crate::handler::{handle_verb, ServerContext};
+use crate::handler::{handle_verb, series_patterns, sleeps, ServerContext};
 use crate::metrics::server_metrics;
 use crate::proto::{
-    encode_response_v2, err_response, ok_response, ErrorKind, Request, HELLO_V2, MAX_FRAME_BYTES,
-    PROTOCOL_V2,
+    encode_response_v2, err_response, ok_response, ErrorKind, Request, Verb, HELLO_V2,
+    MAX_FRAME_BYTES, PROTOCOL_V2,
 };
 use crate::queue::{PushError, QueueObservers, ShardedQueue};
 
@@ -449,9 +450,6 @@ const WATCH_MAX_INTERVAL_MS: u64 = 60_000;
 /// for the streamer to notice the drain flag.
 const WATCH_TICK: Duration = Duration::from_millis(25);
 
-/// Series selected when a `watch`/`telemetry` request names none.
-const DEFAULT_SERIES_PATTERNS: &[&str] = &["ccdb_server_*"];
-
 /// One live `watch` subscription. Owned by the streamer thread's map;
 /// frames ride the session's ordinary outbound buffer, so backpressure
 /// (backlog cap, stall kill) is exactly the request-path machinery.
@@ -473,6 +471,8 @@ struct WatchSub {
 /// phase timings the event loop already banked for it.
 struct Job {
     request: Request,
+    /// The request's verb, resolved once per frame; `None` when unknown.
+    verb: Option<Verb>,
     session: Arc<Session>,
     admitted: Instant,
     /// When the frame's first byte arrived — origin of the phase timeline.
@@ -568,6 +568,7 @@ impl Server {
             rescache_shards: store.read(|st| st.resolution_cache_shards()),
             max_proto: cfg.max_proto,
             inline_reads: cfg.inline_reads,
+            debug_verbs: cfg.debug_verbs,
         };
         let txns = TxnRegistry::with_timeout(cfg.txn_lock_timeout);
         let registry = ccdb_obs::global();
@@ -1338,21 +1339,22 @@ fn handle_frame(
         }
     };
     let parse_ns = parse_start.elapsed().as_nanos() as u64;
+    let verb = Verb::from_name(&request.verb);
     m.requests.inc();
-    if let Some(c) = m.verb_counter(&request.verb) {
+    if let Some(c) = verb.and_then(|v| m.verb_counter(v)) {
         c.inc();
     }
     session.requests.fetch_add(1, Ordering::Relaxed);
 
     // Session introspection never touches the store or the queue.
-    if request.verb == "session" {
+    if verb == Some(Verb::Session) {
         session.send(&ok_response(request.id, session.info_json()));
         return ConnAfter::Keep;
     }
     // `watch` is connection-level (it binds a stream to this session), so
     // it is answered inline like `session`; frames are pushed later by the
     // streamer thread through the session's ordinary outbound buffer.
-    if request.verb == "watch" {
+    if verb == Some(Verb::Watch) {
         session.send(&register_watch(inner, session, &request));
         return ConnAfter::Keep;
     }
@@ -1371,7 +1373,8 @@ fn handle_frame(
     // behind, queue-jumping reads would starve admitted writes of CPU)
     // and a per-iteration time budget (the loop's readiness duties come
     // first).
-    if inner.cfg.inline_reads && is_inline_verb(&request) && !inner.txns.in_txn(session.id) {
+    let inline = verb.is_some_and(|v| v.inline() && !sleeps(v, &request.params));
+    if inner.cfg.inline_reads && inline && !inner.txns.in_txn(session.id) {
         if inner.queue.len() <= inner.ctx.workers
             && inner.inline_spent_ns.load(Ordering::Relaxed) < INLINE_BUDGET_NS
         {
@@ -1380,6 +1383,7 @@ fn handle_frame(
                 inner,
                 Job {
                     request,
+                    verb,
                     session: Arc::clone(session),
                     admitted: started,
                     first_byte,
@@ -1399,6 +1403,7 @@ fn handle_frame(
     let id = request.id;
     let job = Job {
         request,
+        verb,
         session: Arc::clone(session),
         admitted: Instant::now(),
         first_byte,
@@ -1426,35 +1431,11 @@ fn handle_frame(
     ConnAfter::Keep
 }
 
-/// Verbs the event loop may execute inline: read-only against a pinned
-/// MVCC snapshot (or touching no store at all), and never blocking.
-/// Write verbs, txn verbs, `batch` (it may carry writes), `shutdown`,
-/// and debug verbs are deliberately absent — they always take the queue.
-const INLINE_VERBS: &[&str] = &[
-    "ping",
-    "attr",
-    "select",
-    "effective",
-    "check_all",
-    "stats",
-    "metrics",
-    "telemetry",
-    "flight",
-];
-
 /// Inline-execution budget per event-loop iteration: once inline
 /// handlers have consumed this much of an iteration, further eligible
 /// requests are enqueued instead, so a read burst cannot starve the
 /// loop's accept/read/flush duties.
 const INLINE_BUDGET_NS: u64 = 1_000_000;
-
-/// Whether this request may run on the event-loop thread. A `ping`
-/// carrying `delay_ms` is an artificial sleep (drain/overload tests) and
-/// must park a worker, never the loop.
-fn is_inline_verb(request: &Request) -> bool {
-    INLINE_VERBS.contains(&request.verb.as_str())
-        && !(request.verb == "ping" && request.params.get("delay_ms").is_some())
-}
 
 /// Handles a `watch` request: registers (or replaces, or with
 /// `stop: true` cancels) this session's telemetry subscription and
@@ -1526,29 +1507,6 @@ fn register_watch(inner: &Arc<Inner>, session: &Arc<Session>, request: &Request)
             ),
         ]),
     )
-}
-
-/// Extracts the `series` name/pattern list from request params, falling
-/// back to [`DEFAULT_SERIES_PATTERNS`].
-fn series_patterns(params: &Json) -> Vec<String> {
-    let named: Vec<String> = params
-        .get("series")
-        .and_then(Json::as_array)
-        .map(|items| {
-            items
-                .iter()
-                .filter_map(|v| v.as_str().map(String::from))
-                .collect()
-        })
-        .unwrap_or_default();
-    if named.is_empty() {
-        DEFAULT_SERIES_PATTERNS
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect()
-    } else {
-        named
-    }
 }
 
 /// Renders one series delta as the wire object shared by `watch` frames
@@ -1689,6 +1647,7 @@ fn run_request(inner: &Arc<Inner>, job: Job, queue_ns: u64) {
     let m = server_metrics();
     let Job {
         request,
+        verb,
         session,
         admitted,
         first_byte,
@@ -1704,19 +1663,19 @@ fn run_request(inner: &Arc<Inner>, job: Job, queue_ns: u64) {
         None => ccdb_obs::trace::span("server.request"),
     };
     if let Some(s) = span.as_mut() {
-        if let Some(verb) = crate::metrics::VERBS.iter().find(|v| **v == request.verb) {
-            s.str("verb", verb);
+        if let Some(v) = verb {
+            s.str("verb", v.name());
         }
         s.u64("session", session.id);
     }
 
-    if request.verb == "flight" {
+    if verb == Some(Verb::Flight) {
         session.await_flight_records();
     }
     let handle_start = Instant::now();
     let wait0_lock = lockprobe::thread_lock_wait_ns();
     let wait0_snap = lockprobe::thread_snapshot_wait_ns();
-    let (response, outcome) = if request.verb == "shutdown" {
+    let (response, outcome) = if verb == Some(Verb::Shutdown) {
         inner.begin_shutdown();
         (
             ok_response(request.id, Json::String("draining".into())),
@@ -1730,9 +1689,9 @@ fn run_request(inner: &Arc<Inner>, job: Job, queue_ns: u64) {
                 &inner.ctx,
                 &inner.txns,
                 session.id,
+                verb,
                 &request.verb,
                 &request.params,
-                inner.cfg.debug_verbs,
             )
         }));
         match outcome {
@@ -1788,7 +1747,7 @@ fn run_request(inner: &Arc<Inner>, job: Job, queue_ns: u64) {
         h.observe(ns);
     }
     m.phase_all_total.observe(total_ns);
-    if let Some(vp) = m.verb_phases(&request.verb) {
+    if let Some(vp) = verb.and_then(|v| m.verb_phases(v)) {
         for (h, ns) in vp.phases.iter().zip(phases) {
             h.observe(ns);
         }

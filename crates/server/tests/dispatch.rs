@@ -6,6 +6,7 @@
 
 mod common;
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use ccdb_core::{Surrogate, Value};
@@ -19,6 +20,13 @@ fn scrape_value(text: &str, name: &str) -> Option<u64> {
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|v| v.parse::<f64>().ok())
         .map(|v| v as u64)
+}
+
+/// Serializes the tests of this binary: the inline counter is
+/// process-global, so another test's inline reads would land in a delta.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 fn inline_count(c: &mut Client) -> u64 {
@@ -45,6 +53,7 @@ fn seed(c: &mut Client) -> (Surrogate, Surrogate) {
 /// count and nothing else hides in the delta.
 #[test]
 fn read_verbs_inline_while_writes_always_take_the_queue() {
+    let _serial = serial();
     let server = common::start(ServerConfig::default());
     let mut c = connect(&server);
     let (interface, imp) = seed(&mut c);
@@ -103,12 +112,35 @@ fn read_verbs_inline_while_writes_always_take_the_queue() {
     server.shutdown();
 }
 
+/// `flight` waits for its session's pending flight records, so it never
+/// runs on the event loop: flight requests add nothing to the inline
+/// counter beyond the surrounding scrapes' own count.
+#[test]
+fn flight_always_takes_the_queue() {
+    let _serial = serial();
+    let server = common::start(ServerConfig::default());
+    let mut c = connect(&server);
+    let before = inline_count(&mut c);
+    for _ in 0..5 {
+        let f = c.flight().unwrap();
+        assert!(f.get("recorded").and_then(Json::as_u64).is_some(), "{f:?}");
+    }
+    let after = inline_count(&mut c);
+    assert!(
+        after - before <= 1,
+        "flight leaked onto the inline path: delta {}",
+        after - before
+    );
+    server.shutdown();
+}
+
 /// A session inside a transaction loses inline eligibility entirely: its
 /// reads must go to workers so they resolve against the transaction's
 /// own uncommitted writes (the pinned snapshot can't see those), while
 /// other sessions' inline reads keep seeing the committed state.
 #[test]
 fn in_txn_reads_bypass_the_inline_path_and_see_uncommitted_writes() {
+    let _serial = serial();
     let server = common::start(ServerConfig {
         txn_lock_timeout: Duration::from_millis(200),
         ..ServerConfig::default()
@@ -143,6 +175,7 @@ fn in_txn_reads_bypass_the_inline_path_and_see_uncommitted_writes() {
 /// transactional write still conflicts, and the first committer wins.
 #[test]
 fn first_committer_wins_holds_with_the_fast_path_on() {
+    let _serial = serial();
     let server = common::start(ServerConfig {
         txn_lock_timeout: Duration::from_millis(200),
         ..ServerConfig::default()
@@ -170,6 +203,7 @@ fn first_committer_wins_holds_with_the_fast_path_on() {
 /// binding on every following read.
 #[test]
 fn platform_backend_serves_the_workload() {
+    let _serial = serial();
     let server = common::start(ServerConfig::default());
     if cfg!(target_os = "linux") {
         assert_eq!(server.backend(), "epoll");
